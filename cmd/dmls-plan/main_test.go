@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -19,7 +20,7 @@ func TestExampleSuitePlans(t *testing.T) {
 	if len(scenarios) != 6 {
 		t.Fatalf("example suite expands to %d scenarios, want 6", len(scenarios))
 	}
-	report, err := planner.PlanSuite(suite, "", 0)
+	report, _, err := planner.PlanSuiteCtx(context.Background(), suite, "", 0, planner.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,10 +62,10 @@ func TestPlanTableReportsErrorsAndNotices(t *testing.T) {
 	fallback := good
 	fallback.Name = "fallback"
 	fallback.Convergence = nil
-	report, err := planner.PlanSuite(scenario.Suite{
+	report, _, err := planner.PlanSuiteCtx(context.Background(), scenario.Suite{
 		Name:      "mixed",
 		Scenarios: []scenario.Scenario{good, bad, fallback},
-	}, planner.ObjectiveTTA, 2)
+	}, planner.ObjectiveTTA, 2, planner.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

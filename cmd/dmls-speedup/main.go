@@ -16,8 +16,10 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -29,39 +31,49 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole CLI behind main, returning the exit code: 0 on success,
+// 1 on a modeling error, 2 on bad flags.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("dmls-speedup", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		configPath      = flag.String("config", "", "JSON scenario file (overrides the other flags)")
-		emitConfig      = flag.Bool("emit-config", false, "print the paper's Fig. 2 setup as a scenario file and exit")
-		family          = flag.String("family", "gd-strong", "workload family: "+strings.Join(registry.Families(), ", "))
-		flopsPerExample = flag.Float64("flops-per-example", 6*12e6, "C: training flops per example")
-		batch           = flag.Float64("batch", 60000, "S: batch size")
-		params          = flag.Float64("params", 12e6, "W: model parameter count")
-		precision       = flag.Float64("precision", 64, "bits per shipped parameter")
-		architecture    = flag.String("architecture", "", "derive C and W from a cataloged network: "+strings.Join(registry.Architectures(), ", "))
-		hwPreset        = flag.String("hardware", "", "hardware preset ("+strings.Join(registry.NodePresets(), ", ")+"); overrides -peak-flops")
-		peakFlops       = flag.Float64("peak-flops", 105.6e9, "node peak flops")
-		efficiency      = flag.Float64("efficiency", 0.8, "achievable fraction of peak")
-		bandwidth       = flag.Float64("bandwidth", 1e9, "network bandwidth, bit/s")
-		protocol        = flag.String("protocol", "spark", "communication protocol: "+strings.Join(registry.LeafProtocolKinds(), ", ")+" (composed protocols need -config)")
-		maxN            = flag.Int("max", 16, "largest worker count to evaluate")
-		weak            = flag.Bool("weak", false, "weak scaling: shorthand for -family gd-weak")
-		parallelism     = flag.Int("parallel", 0, "parallelism budget for curve sampling and Monte-Carlo trials; 0 means GOMAXPROCS, 1 forces serial")
+		configPath      = fs.String("config", "", "JSON scenario file (overrides the other flags)")
+		emitConfig      = fs.Bool("emit-config", false, "print the paper's Fig. 2 setup as a scenario file and exit")
+		family          = fs.String("family", "gd-strong", "workload family: "+strings.Join(registry.Families(), ", "))
+		flopsPerExample = fs.Float64("flops-per-example", 6*12e6, "C: training flops per example")
+		batch           = fs.Float64("batch", 60000, "S: batch size")
+		params          = fs.Float64("params", 12e6, "W: model parameter count")
+		precision       = fs.Float64("precision", 64, "bits per shipped parameter")
+		architecture    = fs.String("architecture", "", "derive C and W from a cataloged network: "+strings.Join(registry.Architectures(), ", "))
+		hwPreset        = fs.String("hardware", "", "hardware preset ("+strings.Join(registry.NodePresets(), ", ")+"); overrides -peak-flops")
+		peakFlops       = fs.Float64("peak-flops", 105.6e9, "node peak flops")
+		efficiency      = fs.Float64("efficiency", 0.8, "achievable fraction of peak")
+		bandwidth       = fs.Float64("bandwidth", 1e9, "network bandwidth, bit/s")
+		protocol        = fs.String("protocol", "spark", "communication protocol: "+strings.Join(registry.LeafProtocolKinds(), ", ")+" (composed protocols need -config)")
+		maxN            = fs.Int("max", 16, "largest worker count to evaluate")
+		weak            = fs.Bool("weak", false, "weak scaling: shorthand for -family gd-weak")
+		parallelism     = fs.Int("parallel", 0, "parallelism budget for curve sampling and Monte-Carlo trials; 0 means GOMAXPROCS, 1 forces serial")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 	if *parallelism > 0 {
 		core.SetParallelism(*parallelism)
 	}
 
-	fail := func(err error) {
-		fmt.Fprintf(os.Stderr, "dmls-speedup: %v\n", err)
-		os.Exit(1)
+	fail := func(err error) int {
+		fmt.Fprintf(stderr, "dmls-speedup: %v\n", err)
+		return 1
 	}
 
 	if *emitConfig {
-		if err := scenario.Fig2().Encode(os.Stdout); err != nil {
-			fail(err)
+		if err := scenario.Fig2().Encode(stdout); err != nil {
+			return fail(err)
 		}
-		return
+		return 0
 	}
 
 	var sc scenario.Scenario
@@ -69,18 +81,22 @@ func main() {
 		var err error
 		sc, err = scenario.Load(*configPath)
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
+		// The scenario's own bound wins; otherwise -max becomes the
+		// scenario's worker axis, which is what the model is priced over.
 		if sc.MaxWorkers > 0 {
 			*maxN = sc.MaxWorkers
+		} else {
+			sc.MaxWorkers = *maxN
 		}
-		fmt.Printf("scenario: %s\n\n", sc.Name)
+		fmt.Fprintf(stdout, "scenario: %s\n\n", sc.Name)
 	} else {
 		explicit := map[string]bool{}
-		flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
+		fs.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
 		if *weak {
 			if explicit["family"] && *family != "gd-weak" && *family != "weak" {
-				fail(fmt.Errorf("-weak conflicts with -family %s", *family))
+				return fail(fmt.Errorf("-weak conflicts with -family %s", *family))
 			}
 			*family = "gd-weak"
 		}
@@ -111,15 +127,15 @@ func main() {
 		}
 	}
 
-	model, err := sc.Model()
+	model, err := sc.ModelCtx(context.Background())
 	if err != nil {
-		fail(err)
+		return fail(err)
 	}
 
 	workers := core.Range(1, *maxN)
 	curve, err := model.SpeedupCurve(workers)
 	if err != nil {
-		fail(err)
+		return fail(err)
 	}
 	table := textio.NewTable("workers", "t_cp (s)", "t_cm (s)", "t (s)", "speedup", "efficiency")
 	for _, pt := range curve.Points {
@@ -132,27 +148,28 @@ func main() {
 			commTime,
 			float64(pt.Time), pt.Speedup, pt.Speedup/float64(pt.N))
 	}
-	fmt.Println(table.String())
+	fmt.Fprintln(stdout, table.String())
 
 	plot, err := asciiplot.CurvePlot("speedup", []string{model.Name},
 		[][]int{workers}, [][]float64{curve.Speedups()}, 60, 14)
 	if err == nil {
-		fmt.Println(plot)
+		fmt.Fprintln(stdout, plot)
 	}
 
 	optN, optS, err := model.OptimalWorkers(*maxN)
 	if err != nil {
-		fail(err)
+		return fail(err)
 	}
-	fmt.Printf("optimal workers: %d (speedup %.2f)\n", optN, optS)
+	fmt.Fprintf(stdout, "optimal workers: %d (speedup %.2f)\n", optN, optS)
 	if n, ok := model.CommComputeCrossover(*maxN); ok {
-		fmt.Printf("communication exceeds computation from %d workers\n", n)
+		fmt.Fprintf(stdout, "communication exceeds computation from %d workers\n", n)
 	} else {
-		fmt.Printf("computation dominates through %d workers\n", *maxN)
+		fmt.Fprintf(stdout, "computation dominates through %d workers\n", *maxN)
 	}
 	scalable, err := model.IsScalable(*maxN)
 	if err != nil {
-		fail(err)
+		return fail(err)
 	}
-	fmt.Printf("scalable (s(k) > 1 for some k ≤ %d): %v\n", *maxN, scalable)
+	fmt.Fprintf(stdout, "scalable (s(k) > 1 for some k ≤ %d): %v\n", *maxN, scalable)
+	return 0
 }

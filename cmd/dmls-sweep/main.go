@@ -274,7 +274,7 @@ func statsReport(st scenario.EvalStats, caches registry.CacheStats, elapsed time
 	out := line + fmt.Sprintf("; %v elapsed (build %v + sample %v summed across cells)\n",
 		elapsed.Round(time.Microsecond),
 		st.BuildTime.Round(time.Microsecond), st.SampleTime.Round(time.Microsecond))
-	out += fmt.Sprintf("stats: kernel compute %v of the sampled time (cache misses only; hits are free)\n",
+	out += fmt.Sprintf("stats: kernel compute %v of the build time (cache misses only; a cache hit still fingerprints its degree sequence, which build includes)\n",
 		st.KernelComputeTime.Round(time.Microsecond))
 	out += slowestCellsReport(st.SlowestCells)
 	return out + caches.Report()

@@ -31,8 +31,7 @@
 // explicit list and/or a parameter sweep over bandwidth × protocol ×
 // precision × worker range — and EvaluateSuite computes every speedup curve
 // concurrently with per-curve error isolation. Suite-level workers and
-// intra-curve parallelism (worker-count sampling, Monte-Carlo trial
-// sharding) draw from one shared budget sized by SetParallelism (default
+// Monte-Carlo trial sharding draw from one shared budget sized by SetParallelism (default
 // GOMAXPROCS), and results are bit-identical at any setting:
 //
 //	suite, err := dmlscale.LoadSuite("sweep.json")
@@ -147,17 +146,17 @@ func GradientDescentWeak(w Workload, node Node, protocol CommModel) (Model, erro
 // (§IV-B): computation proportional to the Monte-Carlo estimate of the
 // maximum per-worker edge count for the given degree sequence, with zero
 // communication (shared memory). opsPerEdge is c(S), e.g. bp.OpsPerEdge.
-// Degenerate inputs (empty degrees, non-positive ops, flops or trials)
-// return an error instead of silently producing infinite speedups. The
-// per-worker-count estimates come from the process-wide kernel cache
+// The model is priced at construction over the worker axis — workers plus
+// n = 1, the speedup base — from the process-wide kernel cache
 // (SnapshotCaches shows it), so identical estimates are computed exactly
-// once across all model instances and concurrent suite workers; calling
-// Time with a worker count below 1 panics with the estimator's error
-// rather than pricing the point at +Inf. The degrees slice is keyed into
-// that cache by its contents at construction time and read again at each
-// evaluation, so it must not be mutated after this call.
-func GraphInference(name string, degrees []int32, opsPerEdge float64, f Flops, trials int, seed int64) (Model, error) {
-	return registry.GraphInferenceModel(name, degrees, opsPerEdge, f, trials, seed)
+// once across all model instances and concurrent suite workers. Its time
+// functions are defined on exactly that axis: evaluating any other worker
+// count is a programmer error and panics. Degenerate inputs (empty
+// degrees, non-positive ops, flops, trials or worker counts) return an
+// error instead of silently producing infinite speedups. degrees is read
+// only during this call.
+func GraphInference(name string, degrees []int32, opsPerEdge float64, f Flops, trials int, seed int64, workers []int) (Model, error) {
+	return registry.GraphInferenceModel(context.Background(), name, degrees, opsPerEdge, f, trials, seed, workers)
 }
 
 // Hardware catalog (the paper's testbeds).
@@ -236,7 +235,7 @@ func LoadSuite(path string) (Suite, error) { return scenario.LoadSuite(path) }
 // EvaluateSuite expands a suite and computes every speedup curve
 // concurrently. Workers come from the shared parallelism budget (default
 // GOMAXPROCS; size it with SetParallelism), which suite-level curve workers
-// and intra-curve Monte-Carlo shards split between them; the parallelism
+// and Monte-Carlo trial shards split between them; the parallelism
 // argument only caps the suite-level workers within that budget (≤ 0 means
 // no extra cap — it cannot raise concurrency above the budget). A failing
 // scenario yields a SuiteResult with Err set; the rest of the suite still
@@ -246,14 +245,15 @@ func LoadSuite(path string) (Suite, error) { return scenario.LoadSuite(path) }
 // communication-side axes pays for each distinct computation kernel exactly
 // once; results are bit-identical with the caches cold or warm.
 func EvaluateSuite(s Suite, parallelism int) ([]SuiteResult, error) {
-	return scenario.EvaluateSuite(s, parallelism)
+	results, _, err := scenario.EvaluateSuiteStatsCtx(context.Background(), s, parallelism)
+	return results, err
 }
 
 // EvaluateSuiteStats is EvaluateSuite plus the pass's evaluation stats:
 // cells evaluated versus deduped and the build-versus-sample wall-time
 // split. Pair it with SnapshotCaches to see the kernel-cache hit ratio.
 func EvaluateSuiteStats(s Suite, parallelism int) ([]SuiteResult, EvalStats, error) {
-	return scenario.EvaluateSuiteStats(s, parallelism)
+	return scenario.EvaluateSuiteStatsCtx(context.Background(), s, parallelism)
 }
 
 // EvaluateSuiteCtx is EvaluateSuiteStats under a context, so a sweep can be
@@ -277,7 +277,8 @@ func EvaluateSuiteCtx(ctx context.Context, s Suite, parallelism int) ([]SuiteRes
 // block degrade to per-iteration ranking with a notice; failures isolate
 // per cell. Output is deterministic at any parallelism.
 func PlanSuite(s Suite, objective PlanObjective, parallelism int) (PlanReport, error) {
-	return planner.PlanSuite(s, objective, parallelism)
+	report, _, err := planner.PlanSuiteCtx(context.Background(), s, objective, parallelism, PlanOptions{})
+	return report, err
 }
 
 // PlanSuiteAdaptive is PlanSuite with adaptive options and evaluation
@@ -287,7 +288,7 @@ func PlanSuite(s Suite, objective PlanObjective, parallelism int) (PlanReport, e
 // and cost/time budget constraints. The zero PlanOptions reproduces
 // PlanSuite exactly.
 func PlanSuiteAdaptive(s Suite, objective PlanObjective, parallelism int, opts PlanOptions) (PlanReport, EvalStats, error) {
-	return planner.PlanSuiteOpts(s, objective, parallelism, opts)
+	return planner.PlanSuiteCtx(context.Background(), s, objective, parallelism, opts)
 }
 
 // PlanSuiteCtx is PlanSuiteAdaptive under a context, so a planning pass can
@@ -334,7 +335,7 @@ func SnapshotCaches() CacheStats { return registry.SnapshotCaches() }
 func ResetCaches() { registry.ResetCaches() }
 
 // SetParallelism sizes the shared parallelism budget that suite-level curve
-// workers and intra-curve Monte-Carlo shards draw from (≤ 0 means
+// workers and Monte-Carlo trial shards draw from (≤ 0 means
 // GOMAXPROCS). Evaluation is deterministic at any setting; call it before
 // evaluating, not concurrently with it.
 func SetParallelism(limit int) { core.SetParallelism(limit) }

@@ -60,7 +60,7 @@ func TestGraphInferenceFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	model, err := dmlscale.GraphInference("bp", degrees, bp.OpsPerEdge(2),
-		dmlscale.Flops(0.6e9), 2, 7)
+		dmlscale.Flops(0.6e9), 2, 7, dmlscale.Workers(1, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,13 +136,13 @@ func TestExperimentRegistryFacade(t *testing.T) {
 }
 
 func TestGraphInferenceRejectsDegenerateInputs(t *testing.T) {
-	if _, err := dmlscale.GraphInference("bad", nil, 14, 1e9, 2, 0); err == nil {
+	if _, err := dmlscale.GraphInference("bad", nil, 14, 1e9, 2, 0, nil); err == nil {
 		t.Error("empty degree sequence accepted")
 	}
-	if _, err := dmlscale.GraphInference("bad", []int32{1, 2}, 0, 1e9, 2, 0); err == nil {
+	if _, err := dmlscale.GraphInference("bad", []int32{1, 2}, 0, 1e9, 2, 0, nil); err == nil {
 		t.Error("zero ops per edge accepted")
 	}
-	if _, err := dmlscale.GraphInference("bad", []int32{1, 2}, 14, 1e9, 0, 0); err == nil {
+	if _, err := dmlscale.GraphInference("bad", []int32{1, 2}, 14, 1e9, 0, 0, nil); err == nil {
 		t.Error("zero trials accepted")
 	}
 }

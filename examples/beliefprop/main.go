@@ -76,14 +76,15 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	workers := []int{1, 2, 4, 8, 16, 32, 64, 80}
 	model, err := dmlscale.GraphInference("BP on DNS graph", bigger,
-		bp.OpsPerEdge(2), dmlscale.Flops(0.6e9), 3, 11)
+		bp.OpsPerEdge(2), dmlscale.Flops(0.6e9), 3, 11, workers)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("paper model, 400K-vertex graph (s(n) = E / maxEi(n)):")
 	fmt.Println("workers  speedup")
-	for _, n := range []int{1, 2, 4, 8, 16, 32, 64, 80} {
+	for _, n := range workers {
 		fmt.Printf("%7d  %7.2f\n", n, model.Speedup(n))
 	}
 	fmt.Println("\nSkewed degrees cap the speedup well below linear: whoever owns the hub")

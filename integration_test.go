@@ -6,6 +6,7 @@ package dmlscale_test
 // the way the paper's experiments do.
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -134,7 +135,7 @@ func TestBPSpeedupModelAgainstRealPartition(t *testing.T) {
 		t.Fatal(err)
 	}
 	model, err := dmlscale.GraphInference("bp", degrees, bp.OpsPerEdge(2),
-		dmlscale.Flops(1e9), 3, 11)
+		dmlscale.Flops(1e9), 3, 11, []int{16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +182,7 @@ func TestRealBPOnSyntheticDNSGraph(t *testing.T) {
 // the facade builds directly.
 func TestScenarioDrivesFacade(t *testing.T) {
 	sc := scenario.Fig2()
-	fromScenario, err := sc.Model()
+	fromScenario, err := sc.ModelCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

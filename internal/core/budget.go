@@ -7,13 +7,12 @@ import (
 )
 
 // Budget is a process-wide parallelism budget: a counting semaphore sized to
-// a worker limit that every parallel layer draws from. Suite-level curve
-// workers (EvaluateAll) and intra-curve shards (parallel curve sampling,
-// Monte-Carlo trial sharding in package partition) acquire extra workers
-// from the same pool, so nesting the two levels cannot oversubscribe the
-// machine: a 10-curve suite on 8 cores spends the whole budget on curves and
-// evaluates each one serially, while a single curve spends it on worker
-// counts and trials.
+// a worker limit that every parallel layer draws from. Suite-level cell
+// workers (EvaluateStreamCtx, ForEachCtx) and Monte-Carlo trial shards
+// (package partition) acquire extra workers from the same pool, so nesting
+// the two levels cannot oversubscribe the machine: a 10-cell suite on 8
+// cores spends the whole budget on cells and prices each kernel serially,
+// while a single cell spends it on trials.
 //
 // The caller of any parallel helper always counts as one worker, so a budget
 // of limit n holds n−1 acquirable tokens. Acquisition never blocks: when the
@@ -66,24 +65,30 @@ func (b *Budget) Release(n int) {
 
 // ParallelChunks splits [0, n) into one contiguous chunk per worker and runs
 // body once per chunk, on the caller's goroutine plus as many extra workers
-// as the budget grants. body must be safe to call concurrently for disjoint
-// ranges; results indexed by position are deterministic at any parallelism.
-// Tokens are held until every chunk finishes. A panic in any chunk — even
-// one running on a spawned goroutine — is re-raised on the caller after all
-// chunks settle and the tokens return to the pool, so callers' recover-based
-// isolation (EvaluateAll's per-curve recovery) keeps working and the shared
-// budget cannot leak.
+// as the budget grants (see fanOut). body must be safe to call concurrently
+// for disjoint ranges; results indexed by position are deterministic at any
+// parallelism.
 func (b *Budget) ParallelChunks(n int, body func(lo, hi int)) {
 	if n <= 0 {
 		return
 	}
-	extra := b.TryAcquire(n - 1)
+	b.fanOut(n, func(w, workers int) {
+		body(n*w/workers, n*(w+1)/workers)
+	})
+}
+
+// fanOut is the module's one worker pool: it grants itself up to want−1
+// extra tokens, runs work(w, workers) for every w in [0, workers) — worker
+// 0 on the caller's goroutine, the rest on spawned ones — and returns the
+// tokens once all of them settle. A panic in any worker is re-raised on the
+// caller after that (the first one wins), so callers' recover-based
+// isolation keeps working and the budget cannot leak. ForEachCtx, the
+// streaming evaluator and ParallelChunks all run on it.
+func (b *Budget) fanOut(want int, work func(w, workers int)) {
+	extra := b.TryAcquire(want - 1)
 	workers := extra + 1
-	chunk := func(w int) (int, int) {
-		return n * w / workers, n * (w + 1) / workers
-	}
 	panics := make(chan any, 1)
-	runChunk := func(lo, hi int) {
+	run := func(w int) {
 		defer func() {
 			if r := recover(); r != nil {
 				select {
@@ -92,19 +97,17 @@ func (b *Budget) ParallelChunks(n int, body func(lo, hi int)) {
 				}
 			}
 		}()
-		body(lo, hi)
+		work(w, workers)
 	}
 	var wg sync.WaitGroup
 	for w := 1; w < workers; w++ {
-		lo, hi := chunk(w)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			runChunk(lo, hi)
+			run(w)
 		}()
 	}
-	lo, hi := chunk(0)
-	runChunk(lo, hi)
+	run(0)
 	wg.Wait()
 	b.Release(extra)
 	select {

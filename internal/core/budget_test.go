@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -116,13 +117,13 @@ func TestParallelChunksRepanicsWithoutLeakingTokens(t *testing.T) {
 	b.Release(3)
 }
 
-func TestEvaluateAllIsolatesPanicsInsideCurveSampling(t *testing.T) {
-	// The panic fires inside Time(n) during parallel curve sampling — the
-	// path that crosses ParallelChunks goroutines — and must still become
-	// a per-job error instead of killing the process.
+func TestEvaluateJobsIsolatesPanicsInsideCurveSampling(t *testing.T) {
+	// The panic fires inside Time(n) during curve sampling, on a pool
+	// worker, and must still become a per-job error instead of killing the
+	// process.
 	jobs := []Job{
-		{Name: "ok", Build: func() (Model, error) { return testModel("ok", 10, 1), nil }, Workers: Range(1, 8)},
-		{Name: "mid-curve panic", Build: func() (Model, error) {
+		{Name: "ok", Build: func(context.Context) (Model, error) { return testModel("ok", 10, 1), nil }, Workers: Range(1, 8)},
+		{Name: "mid-curve panic", Build: func(context.Context) (Model, error) {
 			m := testModel("mid-curve panic", 10, 1)
 			m.Computation = func(n int) units.Seconds {
 				if n == 5 {
@@ -133,7 +134,7 @@ func TestEvaluateAllIsolatesPanicsInsideCurveSampling(t *testing.T) {
 			return m, nil
 		}, Workers: Range(1, 8)},
 	}
-	results := EvaluateAll(jobs, 0)
+	results := evaluateJobs(context.Background(), jobs, 0)
 	if results[0].Err != nil {
 		t.Fatalf("healthy job failed: %v", results[0].Err)
 	}

@@ -39,24 +39,30 @@ func drainBudget(t *testing.T) {
 func TestForEachCtxCancelVisitsPrefixOnly(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	const n = 1000
-	var visited atomic.Int64
+	var hits [n]atomic.Int32
 	var once sync.Once
-	err := ForEachCtx(ctx, n, 4, func(i int) {
-		visited.Add(1)
+	m := ForEachCtx(ctx, n, 4, func(i int) {
+		hits[i].Add(1)
 		if i >= 10 {
 			once.Do(cancel)
 		}
 	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
+	if m == 0 || m == n {
+		t.Fatalf("visited %d of %d indices; cancellation should stop mid-range", m, n)
 	}
-	if v := visited.Load(); v == 0 || v == n {
-		t.Fatalf("visited %d of %d indices; cancellation should stop mid-range", v, n)
+	for i := range hits {
+		want := int32(0)
+		if i < m {
+			want = 1
+		}
+		if got := hits[i].Load(); got != want {
+			t.Fatalf("index %d ran %d times; the reported prefix is [0, %d)", i, got, m)
+		}
 	}
 	drainBudget(t)
 }
 
-func TestEvaluateAllCtxPartialResults(t *testing.T) {
+func TestEvaluateJobsCancelPartialResults(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	workers := Range(1, 4)
@@ -67,7 +73,7 @@ func TestEvaluateAllCtxPartialResults(t *testing.T) {
 		name := fmt.Sprintf("job-%03d", i)
 		jobs[i] = Job{
 			Name: name,
-			Build: func() (Model, error) {
+			Build: func(context.Context) (Model, error) {
 				if evaluated.Add(1) == 5 {
 					cancel()
 				}
@@ -76,7 +82,7 @@ func TestEvaluateAllCtxPartialResults(t *testing.T) {
 			Workers: workers,
 		}
 	}
-	results := EvaluateAllCtx(ctx, jobs, 4)
+	results := evaluateJobs(ctx, jobs, 4)
 	if len(results) != n {
 		t.Fatalf("%d results for %d jobs", len(results), n)
 	}
@@ -121,7 +127,7 @@ func TestEvaluateStreamCtxCancelMidStream(t *testing.T) {
 		name := fmt.Sprintf("cell-%03d", i)
 		return StreamJob{Index: i, Job: Job{
 			Name:    name,
-			Build:   func() (Model, error) { return testModel(name, 100, 1), nil },
+			Build:   func(context.Context) (Model, error) { return testModel(name, 100, 1), nil },
 			Workers: workers,
 		}}, true
 	}
@@ -180,12 +186,12 @@ func TestEvaluateStreamCtxCancelledWaiter(t *testing.T) {
 	started := make(chan struct{})
 	var startOnce sync.Once
 	jobs := []StreamJob{
-		{Index: 0, Job: Job{Name: "rep", Key: "K", Workers: workers, Build: func() (Model, error) {
+		{Index: 0, Job: Job{Name: "rep", Key: "K", Workers: workers, Build: func(context.Context) (Model, error) {
 			startOnce.Do(func() { close(started) })
 			<-release
 			return testModel("rep", 100, 1), nil
 		}}},
-		{Index: 1, Job: Job{Name: "dup", Key: "K", Workers: workers, Build: func() (Model, error) {
+		{Index: 1, Job: Job{Name: "dup", Key: "K", Workers: workers, Build: func(context.Context) (Model, error) {
 			return testModel("dup", 100, 1), nil
 		}}},
 	}
@@ -252,7 +258,7 @@ func TestCancelledEvaluationEndsAllSpans(t *testing.T) {
 		name := fmt.Sprintf("span-job-%03d", i)
 		jobs[i] = Job{
 			Name: name,
-			Build: func() (Model, error) {
+			Build: func(context.Context) (Model, error) {
 				if evaluated.Add(1) == 4 {
 					cancel()
 				}
@@ -261,7 +267,7 @@ func TestCancelledEvaluationEndsAllSpans(t *testing.T) {
 			Workers: workers,
 		}
 	}
-	results := EvaluateAllCtx(ctx, jobs, 4)
+	results := evaluateJobs(ctx, jobs, 4)
 	if len(results) != n {
 		t.Fatalf("%d results for %d jobs", len(results), n)
 	}

@@ -143,11 +143,9 @@ func (m Model) SpeedupCurve(workers []int) (Curve, error) {
 }
 
 // SpeedupCurveRelative evaluates the model at each worker count with
-// speedups relative to the given base worker count. Points are sampled in
-// parallel on the shared budget, so a single expensive curve (Monte-Carlo
-// graph inference) scales with cores; the model's time functions must be
-// deterministic and safe for concurrent calls, which every model built by
-// this module is. The result is bit-identical at any parallelism.
+// speedups relative to the given base worker count. Every model this
+// module builds prices a point in O(1) — the graph families price their
+// whole worker axis at build time — so points are sampled serially.
 func (m Model) SpeedupCurveRelative(base int, workers []int) (Curve, error) {
 	if err := m.Validate(); err != nil {
 		return Curve{}, err
@@ -164,12 +162,9 @@ func (m Model) SpeedupCurveRelative(base int, workers []int) (Curve, error) {
 		}
 	}
 	c := Curve{Name: m.Name, Points: make([]Point, len(workers))}
-	ParallelChunks(len(workers), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			n := workers[i]
-			c.Points[i] = Point{N: n, Time: m.Time(n)}
-		}
-	})
+	for i, n := range workers {
+		c.Points[i] = Point{N: n, Time: m.Time(n)}
+	}
 	tb := float64(m.Time(base))
 	for i := range c.Points {
 		tn := float64(c.Points[i].Time)

@@ -2,9 +2,7 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -14,26 +12,23 @@ import (
 
 // Job is one curve to evaluate: a model builder plus the worker counts to
 // sample. Build runs inside the evaluation pool, so expensive construction
-// (graph generation, Monte-Carlo estimation) parallelizes along with curve
-// sampling.
+// (graph generation, Monte-Carlo estimation) parallelizes across jobs.
 type Job struct {
 	// Name labels the job in results; it also labels errors.
 	Name string
-	// Build constructs the model. It runs once, in the pool.
-	Build func() (Model, error)
-	// BuildCtx, when non-nil, supersedes Build: it receives the evaluation
-	// context so construction-time work (Monte-Carlo kernels, cache waits)
-	// can observe cancellation. Context-blind callers keep using Build.
-	BuildCtx func(ctx context.Context) (Model, error)
+	// Build constructs the model. It runs once, in the pool, under the
+	// evaluation context, so construction-time work (Monte-Carlo kernels,
+	// cache waits) observes cancellation.
+	Build func(ctx context.Context) (Model, error)
 	// Workers are the counts to sample.
 	Workers []int
 	// Base is the speedup reference count; 0 means 1.
 	Base int
 	// Key optionally fingerprints the job's model inputs. Jobs carrying
 	// equal non-empty keys are promised identical — same Build output, same
-	// Workers, same Base — so EvaluateAll evaluates the first occurrence
-	// and fans its curve out to the rest instead of recomputing it. Empty
-	// means never deduplicate.
+	// Workers, same Base — so EvaluateStreamCtx evaluates the first
+	// occurrence and fans its curve out to the rest instead of recomputing
+	// it. Empty means never deduplicate.
 	Key string
 }
 
@@ -54,8 +49,10 @@ type JobResult struct {
 	// slice is shared with the evaluated job and must stay read-only.
 	Deduped bool
 	// BuildTime and SampleTime split the job's wall time between model
-	// construction (Build: graph generation, catalog resolution) and curve
-	// sampling (time evaluation, Monte-Carlo estimation). Both are zero on
+	// construction (Build: catalog resolution, graph generation and, for
+	// the graph families, the Monte-Carlo kernel that prices the whole
+	// worker axis) and curve sampling (evaluating the built model's time
+	// functions, a table lookup for the graph families). Both are zero on
 	// deduped results. On a retried job they sum across attempts, so the
 	// time a flaky cell actually cost is what gets reported.
 	BuildTime  time.Duration
@@ -69,12 +66,7 @@ type JobResult struct {
 // IsCancelled reports whether the result records a context cancellation or
 // deadline expiry rather than a model failure.
 func (r JobResult) IsCancelled() bool {
-	return isCtxErr(r.Err)
-}
-
-// isCtxErr reports whether err wraps a context cancellation or deadline.
-func isCtxErr(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+	return resilience.IsCancelled(r.Err)
 }
 
 // cancelResult is the result of a job abandoned before (or during)
@@ -83,179 +75,66 @@ func cancelResult(name string, err error) JobResult {
 	return JobResult{Name: name, Err: fmt.Errorf("core: job %q cancelled: %w", name, err)}
 }
 
-// ForEach runs body(i) for every i in [0, n), work-stealing indices over an
-// atomic counter on the caller's goroutine plus as many extra workers as the
-// shared parallelism budget grants. parallelism caps the workers within that
-// budget (≤ 0 means no extra cap — it cannot raise concurrency above the
-// budget). Bodies that write results by index are deterministic at any
-// parallelism. A panic in any body — even one on a spawned goroutine — is
-// re-raised on the caller after all indices settle and the tokens return to
-// the pool, so recover-based isolation in callers keeps working and the
-// budget cannot leak. Suite evaluation (EvaluateAll) and planner grid
-// ranking both fan out through here, so they parallelize identically.
-func ForEach(n, parallelism int, body func(i int)) {
-	ForEachCtx(context.Background(), n, parallelism, body)
+// ForEachCtx runs body(i) for every i in [0, n), work-stealing indices over
+// an atomic counter on the caller's goroutine plus as many extra workers as
+// the shared parallelism budget grants. parallelism caps the workers within
+// that budget (≤ 0 means no extra cap — it cannot raise concurrency above
+// the budget). Bodies that write results by index are deterministic at any
+// parallelism. Once ctx is done, workers stop pulling new indices (bodies
+// already running finish — they are never preempted). Indices are pulled
+// in ascending order and every pulled index runs, so the visited set is
+// always a prefix: ForEachCtx returns its length m, and callers that must
+// fill every slot complete [m, n) themselves. A panic in any body is
+// re-raised on the caller after all workers settle, and budget tokens are
+// returned on every path (see Budget.fanOut).
+func ForEachCtx(ctx context.Context, n, parallelism int, body func(i int)) int {
+	if n <= 0 {
+		return 0
+	}
+	done := ctx.Done()
+	var next atomic.Int64
+	runWorkers(parallelism, n, func() bool {
+		if isDone(done) {
+			return false
+		}
+		i := int(next.Add(1)) - 1
+		if i >= n {
+			return false
+		}
+		body(i)
+		return true
+	})
+	return min(int(next.Load()), n)
 }
 
-// ForEachCtx is ForEach under a context: once ctx is done, workers stop
-// pulling new indices (bodies already running finish — they are never
-// preempted) and ForEachCtx returns ctx.Err(). Indices are pulled in
-// ascending order, so the visited set is always a prefix [0, m) of the
-// range; callers that must fill every slot check the returned error and
-// complete the suffix themselves. Budget tokens are returned on every path,
-// cancelled or not.
-func ForEachCtx(ctx context.Context, n, parallelism int, body func(i int)) error {
-	if n <= 0 {
-		return ctx.Err()
-	}
+// runWorkers drives step — "process one unit, report whether there was
+// one" — on up to parallelism workers (≤ 0 or above the budget means the
+// budget's limit), at most count of them when count > 0, through the
+// shared budget's pool.
+func runWorkers(parallelism, count int, step func() bool) {
 	budget := SharedBudget()
 	workers := parallelism
-	if workers <= 0 {
+	if workers <= 0 || workers > budget.Limit() {
 		workers = budget.Limit()
 	}
-	if workers > n {
-		workers = n
+	if count > 0 && workers > count {
+		workers = count
 	}
-	extra := budget.TryAcquire(workers - 1)
-
-	done := ctx.Done()
-	panics := make(chan any, 1)
-	var next atomic.Int64
-	run := func() {
-		defer func() {
-			if r := recover(); r != nil {
-				select {
-				case panics <- r:
-				default: // keep the first panic, drop the rest
-				}
-			}
-		}()
-		for {
-			if done != nil {
-				select {
-				case <-done:
-					return
-				default:
-				}
-			}
-			i := int(next.Add(1)) - 1
-			if i >= n {
-				return
-			}
-			body(i)
+	budget.fanOut(workers, func(int, int) {
+		for step() {
 		}
-	}
-	var wg sync.WaitGroup
-	for p := 0; p < extra; p++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			run()
-		}()
-	}
-	run()
-	wg.Wait()
-	budget.Release(extra)
+	})
+}
+
+// isDone reports whether a context's done channel has closed; the nil
+// channel of a context that can never fire is never done.
+func isDone(done <-chan struct{}) bool {
 	select {
-	case r := <-panics:
-		panic(r)
+	case <-done:
+		return true
 	default:
+		return false
 	}
-	return ctx.Err()
-}
-
-// EvaluateAll evaluates every job concurrently and returns one result per
-// job, in job order. Workers beyond the caller's own goroutine come from the
-// shared parallelism budget (via ForEach), so suite-level curve workers and
-// the intra-curve shards they spawn (parallel curve sampling, Monte-Carlo
-// trials) compose without oversubscribing the machine; parallelism caps the
-// suite-level workers on top of that (≤ 0 means no extra cap). A failing or
-// panicking job yields an error result without aborting the rest — per-curve
-// error isolation, so one bad scenario in a suite cannot take down the sweep.
-//
-// Jobs carrying equal non-empty Keys coalesce: only the first occurrence is
-// evaluated, and its curve fans out — relabeled with each duplicate's own
-// name and marked Deduped — to every duplicate's result slot, wherever in
-// the job order the duplicates appear. Duplicates of a job that failed are
-// evaluated individually instead, so their errors carry their own names
-// exactly as without dedup. Results are bit-identical with and without
-// dedup at any parallelism: the keys promise identical curves and every
-// model this module builds is deterministic.
-func EvaluateAll(jobs []Job, parallelism int) []JobResult {
-	return EvaluateAllCtx(context.Background(), jobs, parallelism)
-}
-
-// EvaluateAllCtx is EvaluateAll under a context. Every job still gets
-// exactly one result in job order; jobs not evaluated because ctx expired
-// carry an error wrapping ctx.Err() (see JobResult.IsCancelled), and jobs
-// evaluated before the cancellation are bit-identical to an uncancelled
-// run's. All budget tokens return to the pool on every path.
-func EvaluateAllCtx(ctx context.Context, jobs []Job, parallelism int) []JobResult {
-	results := make([]JobResult, len(jobs))
-	reps := make([]int, 0, len(jobs))
-	dupOf := make([]int, len(jobs))
-	byKey := make(map[string]int, len(jobs))
-	for i := range jobs {
-		dupOf[i] = i
-		if k := jobs[i].Key; k != "" {
-			if j, ok := byKey[k]; ok {
-				dupOf[i] = j
-				continue
-			}
-			byKey[k] = i
-		}
-		reps = append(reps, i)
-	}
-	// visited records which slots the (possibly cancelled) loop actually
-	// filled; each index is written by exactly one worker and read only
-	// after ForEachCtx's WaitGroup settles, so plain bools suffice. Skipped
-	// when the context can never fire.
-	var visited []bool
-	if ctx.Done() != nil {
-		visited = make([]bool, len(reps))
-	}
-	ForEachCtx(ctx, len(reps), parallelism, func(k int) {
-		if visited != nil {
-			visited[k] = true
-		}
-		results[reps[k]] = evaluateOne(ctx, jobs[reps[k]])
-	})
-	for k := range visited {
-		if !visited[k] {
-			results[reps[k]] = cancelResult(jobs[reps[k]].Name, ctx.Err())
-		}
-	}
-	var failedDups []int
-	for i := range jobs {
-		if dupOf[i] == i {
-			continue
-		}
-		rep := results[dupOf[i]]
-		if rep.Err != nil {
-			failedDups = append(failedDups, i)
-			continue
-		}
-		curve := rep.Curve
-		curve.Name = jobs[i].Name
-		results[i] = JobResult{Name: jobs[i].Name, Curve: curve, Deduped: true}
-		recordDedup(ctx, jobs[i].Name)
-	}
-	var dupVisited []bool
-	if ctx.Done() != nil {
-		dupVisited = make([]bool, len(failedDups))
-	}
-	ForEachCtx(ctx, len(failedDups), parallelism, func(k int) {
-		if dupVisited != nil {
-			dupVisited[k] = true
-		}
-		results[failedDups[k]] = evaluateOne(ctx, jobs[failedDups[k]])
-	})
-	for k := range dupVisited {
-		if !dupVisited[k] {
-			results[failedDups[k]] = cancelResult(jobs[failedDups[k]].Name, ctx.Err())
-		}
-	}
-	return results
 }
 
 // recordDedup emits an instant span marking a curve served by relabeling a
@@ -301,33 +180,21 @@ func evaluateOne(ctx context.Context, job Job) JobResult {
 
 // evaluateOnce runs a single attempt of a job, converting panics into
 // errors so a broken model cannot kill the pool. A done context
-// short-circuits to a cancelled result, and a panic that carries a context
-// error — the idiom model closures use to surface cancellation from inside
-// context-blind Model methods — unwraps to a clean cancelled result
-// instead of a "panicked" error.
+// short-circuits to a cancelled result; a build cut short by cancellation
+// returns the context's error, which becomes a cancelled result too.
 func evaluateOnce(ctx context.Context, job Job) (res JobResult) {
 	res.Name = job.Name
-	// The cell span parents everything the job does — including kernel
-	// work the model runs at sample time through the build-captured ctx —
-	// so traces nest suite→cell→kernel. Build/sample phase spans are
-	// timing children only; their contexts are not propagated, because the
-	// model closure outlives the build phase. All spans end in the recover
-	// defer so a panicking (or cancelled-by-panic) job leaks none.
+	// The cell span parents everything the job does — including the
+	// kernel work the graph families run at build time — so traces nest
+	// suite→cell→kernel. Build/sample phase spans are timing children
+	// only. All spans end in the recover defer so a panicking job leaks
+	// none.
 	ctx, span := obs.Start(ctx, "cell")
 	span.SetString("cell", job.Name)
 	var bspan, sspan *obs.Span
 	defer func() {
 		if r := recover(); r != nil {
-			if err, ok := r.(error); ok && isCtxErr(err) {
-				res = cancelResult(job.Name, err)
-			} else if err, ok := r.(error); ok {
-				// Wrap, don't format: the panic idiom carries typed errors
-				// (kernel failures, injected transient faults) whose chain
-				// the retry classification must still see through.
-				res.Err = fmt.Errorf("core: job %q panicked: %w", job.Name, err)
-			} else {
-				res.Err = fmt.Errorf("core: job %q panicked: %v", job.Name, r)
-			}
+			res.Err = fmt.Errorf("core: job %q panicked: %v", job.Name, r)
 		}
 		bspan.End()
 		sspan.End()
@@ -337,21 +204,17 @@ func evaluateOnce(ctx context.Context, job Job) (res JobResult) {
 	if err := ctx.Err(); err != nil {
 		return cancelResult(job.Name, err)
 	}
-	build := job.Build
-	if job.BuildCtx != nil {
-		build = func() (Model, error) { return job.BuildCtx(ctx) }
-	}
-	if build == nil {
+	if job.Build == nil {
 		res.Err = fmt.Errorf("core: job %q has no builder", job.Name)
 		return res
 	}
 	start := time.Now()
 	_, bspan = obs.Start(ctx, "build")
-	model, err := build()
+	model, err := job.Build(ctx)
 	bspan.End()
 	res.BuildTime = time.Since(start)
 	if err != nil {
-		if isCtxErr(err) {
+		if resilience.IsCancelled(err) {
 			return cancelResult(job.Name, err)
 		}
 		res.Err = fmt.Errorf("core: job %q: %w", job.Name, err)
@@ -367,9 +230,6 @@ func evaluateOnce(ctx context.Context, job Job) (res JobResult) {
 	sspan.End()
 	res.SampleTime = time.Since(start)
 	if err != nil {
-		if isCtxErr(err) {
-			return cancelResult(job.Name, err)
-		}
 		res.Err = fmt.Errorf("core: job %q: %w", job.Name, err)
 		return res
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"sync/atomic"
@@ -9,6 +10,23 @@ import (
 
 	"dmlscale/internal/units"
 )
+
+// evaluateJobs evaluates a job slice as a stream over the slice and returns
+// the results in job order.
+func evaluateJobs(ctx context.Context, jobs []Job, parallelism int) []JobResult {
+	out := make([]JobResult, len(jobs))
+	i := 0
+	next := func() (StreamJob, bool) {
+		if i >= len(jobs) {
+			return StreamJob{}, false
+		}
+		i++
+		return StreamJob{Index: i - 1, Job: jobs[i-1]}, true
+	}
+	// Each index is emitted exactly once, so the writes never collide.
+	EvaluateStreamCtx(ctx, next, parallelism, func(k int, res JobResult) { out[k] = res })
+	return out
+}
 
 // testModel is a trivial c/n + a·n model.
 func testModel(name string, c, a float64) Model {
@@ -19,7 +37,7 @@ func testModel(name string, c, a float64) Model {
 	}
 }
 
-func TestEvaluateAllMatchesSerialCurves(t *testing.T) {
+func TestEvaluateJobsMatchesSerialCurves(t *testing.T) {
 	workers := Range(1, 16)
 	jobs := make([]Job, 10)
 	for i := range jobs {
@@ -27,11 +45,11 @@ func TestEvaluateAllMatchesSerialCurves(t *testing.T) {
 		name := string(rune('a' + i))
 		jobs[i] = Job{
 			Name:    name,
-			Build:   func() (Model, error) { return testModel(name, c, 1), nil },
+			Build:   func(context.Context) (Model, error) { return testModel(name, c, 1), nil },
 			Workers: workers,
 		}
 	}
-	got := EvaluateAll(jobs, 4)
+	got := evaluateJobs(context.Background(), jobs, 4)
 	if len(got) != len(jobs) {
 		t.Fatalf("%d results for %d jobs", len(got), len(jobs))
 	}
@@ -55,18 +73,18 @@ func TestEvaluateAllMatchesSerialCurves(t *testing.T) {
 	}
 }
 
-func TestEvaluateAllIsolatesFailures(t *testing.T) {
+func TestEvaluateJobsIsolatesFailures(t *testing.T) {
 	workers := Range(1, 8)
 	boom := errors.New("boom")
 	jobs := []Job{
-		{Name: "ok-1", Build: func() (Model, error) { return testModel("ok-1", 10, 1), nil }, Workers: workers},
-		{Name: "build-error", Build: func() (Model, error) { return Model{}, boom }, Workers: workers},
-		{Name: "panics", Build: func() (Model, error) { panic("kaboom") }, Workers: workers},
+		{Name: "ok-1", Build: func(context.Context) (Model, error) { return testModel("ok-1", 10, 1), nil }, Workers: workers},
+		{Name: "build-error", Build: func(context.Context) (Model, error) { return Model{}, boom }, Workers: workers},
+		{Name: "panics", Build: func(context.Context) (Model, error) { panic("kaboom") }, Workers: workers},
 		{Name: "no-builder", Workers: workers},
-		{Name: "bad-workers", Build: func() (Model, error) { return testModel("bad-workers", 10, 1), nil }, Workers: []int{0}},
-		{Name: "ok-2", Build: func() (Model, error) { return testModel("ok-2", 10, 1), nil }, Workers: workers},
+		{Name: "bad-workers", Build: func(context.Context) (Model, error) { return testModel("bad-workers", 10, 1), nil }, Workers: []int{0}},
+		{Name: "ok-2", Build: func(context.Context) (Model, error) { return testModel("ok-2", 10, 1), nil }, Workers: workers},
 	}
-	results := EvaluateAll(jobs, 3)
+	results := evaluateJobs(context.Background(), jobs, 3)
 	if results[0].Err != nil || results[5].Err != nil {
 		t.Fatalf("healthy jobs failed: %v / %v", results[0].Err, results[5].Err)
 	}
@@ -84,13 +102,13 @@ func TestEvaluateAllIsolatesFailures(t *testing.T) {
 	}
 }
 
-func TestEvaluateAllBoundsParallelism(t *testing.T) {
+func TestEvaluateJobsBoundsParallelism(t *testing.T) {
 	var active, peak atomic.Int32
 	jobs := make([]Job, 12)
 	for i := range jobs {
 		jobs[i] = Job{
 			Name: "j",
-			Build: func() (Model, error) {
+			Build: func(context.Context) (Model, error) {
 				now := active.Add(1)
 				for {
 					p := peak.Load()
@@ -105,18 +123,18 @@ func TestEvaluateAllBoundsParallelism(t *testing.T) {
 			Workers: []int{1, 2},
 		}
 	}
-	EvaluateAll(jobs, 3)
+	evaluateJobs(context.Background(), jobs, 3)
 	if p := peak.Load(); p > 3 {
 		t.Errorf("pool ran %d jobs at once, bound is 3", p)
 	}
 	// Default parallelism runs them all too.
-	results := EvaluateAll(jobs, 0)
+	results := evaluateJobs(context.Background(), jobs, 0)
 	for _, r := range results {
 		if r.Err != nil {
 			t.Fatal(r.Err)
 		}
 	}
-	if len(EvaluateAll(nil, 4)) != 0 {
+	if len(evaluateJobs(context.Background(), nil, 4)) != 0 {
 		t.Error("nil jobs produced results")
 	}
 }
@@ -124,7 +142,7 @@ func TestEvaluateAllBoundsParallelism(t *testing.T) {
 func TestForEachCoversEveryIndexOnce(t *testing.T) {
 	for _, parallelism := range []int{1, 3, 0} {
 		counts := make([]atomic.Int32, 100)
-		ForEach(len(counts), parallelism, func(i int) {
+		ForEachCtx(context.Background(), len(counts), parallelism, func(i int) {
 			counts[i].Add(1)
 		})
 		for i := range counts {
@@ -133,7 +151,7 @@ func TestForEachCoversEveryIndexOnce(t *testing.T) {
 			}
 		}
 	}
-	ForEach(0, 4, func(int) { t.Error("body ran for n = 0") })
+	ForEachCtx(context.Background(), 0, 4, func(int) { t.Error("body ran for n = 0") })
 }
 
 func TestForEachReRaisesPanics(t *testing.T) {
@@ -147,7 +165,7 @@ func TestForEachReRaisesPanics(t *testing.T) {
 			t.Error("no bodies ran")
 		}
 	}()
-	ForEach(50, 4, func(i int) {
+	ForEachCtx(context.Background(), 50, 4, func(i int) {
 		if i == 3 {
 			panic("boom")
 		}
@@ -155,18 +173,18 @@ func TestForEachReRaisesPanics(t *testing.T) {
 	})
 }
 
-// TestEvaluateAllDedupsEqualKeys: jobs promising identical models (equal
+// TestEvaluateJobsDedupsEqualKeys: jobs promising identical models (equal
 // non-empty Key) are evaluated once, wherever in the job order the
 // duplicates appear, and every duplicate slot gets the shared curve under
 // its own name.
-func TestEvaluateAllDedupsEqualKeys(t *testing.T) {
+func TestEvaluateJobsDedupsEqualKeys(t *testing.T) {
 	workers := Range(1, 8)
 	var builds atomic.Int32
 	job := func(name, key string, c float64) Job {
 		return Job{
 			Name: name,
 			Key:  key,
-			Build: func() (Model, error) {
+			Build: func(context.Context) (Model, error) {
 				builds.Add(1)
 				return testModel(name, c, 1), nil
 			},
@@ -183,7 +201,7 @@ func TestEvaluateAllDedupsEqualKeys(t *testing.T) {
 		job("a-3", "A", 100),
 		job("nokey-2", "", 100),
 	}
-	results := EvaluateAll(jobs, 2)
+	results := evaluateJobs(context.Background(), jobs, 2)
 	if n := builds.Load(); n != 4 {
 		t.Errorf("%d models built, want 4 (A, B and the two unkeyed jobs)", n)
 	}
@@ -214,23 +232,23 @@ func TestEvaluateAllDedupsEqualKeys(t *testing.T) {
 	}
 }
 
-// TestEvaluateAllDedupFailedRepsRecompute: duplicates of a failed
+// TestEvaluateJobsDedupFailedRepsRecompute: duplicates of a failed
 // representative are evaluated individually, so their errors carry their
 // own names exactly as without dedup.
-func TestEvaluateAllDedupFailedRepsRecompute(t *testing.T) {
+func TestEvaluateJobsDedupFailedRepsRecompute(t *testing.T) {
 	var builds atomic.Int32
 	bad := func(name string) Job {
 		return Job{
 			Name: name,
 			Key:  "K",
-			Build: func() (Model, error) {
+			Build: func(context.Context) (Model, error) {
 				builds.Add(1)
 				return Model{}, errors.New("bad cell")
 			},
 			Workers: Range(1, 4),
 		}
 	}
-	results := EvaluateAll([]Job{bad("first"), bad("second"), bad("third")}, 1)
+	results := evaluateJobs(context.Background(), []Job{bad("first"), bad("second"), bad("third")}, 1)
 	if n := builds.Load(); n != 3 {
 		t.Errorf("%d builds, want 3 (failed representatives do not fan out)", n)
 	}
@@ -244,14 +262,14 @@ func TestEvaluateAllDedupFailedRepsRecompute(t *testing.T) {
 	}
 }
 
-func TestEvaluateAllRelativeBase(t *testing.T) {
+func TestEvaluateJobsRelativeBase(t *testing.T) {
 	jobs := []Job{{
 		Name:    "rel",
-		Build:   func() (Model, error) { return testModel("rel", 100, 0), nil },
+		Build:   func(context.Context) (Model, error) { return testModel("rel", 100, 0), nil },
 		Workers: []int{50, 100},
 		Base:    50,
 	}}
-	res := EvaluateAll(jobs, 1)[0]
+	res := evaluateJobs(context.Background(), jobs, 1)[0]
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}

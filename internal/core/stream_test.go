@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -31,7 +32,7 @@ func streamFrom(jobs []Job, pulls *int) func() (StreamJob, bool) {
 func collectStream(jobs []Job, parallelism int) []JobResult {
 	out := make([]JobResult, len(jobs))
 	var mu sync.Mutex
-	EvaluateStream(streamFrom(jobs, nil), parallelism, func(i int, res JobResult) {
+	EvaluateStreamCtx(context.Background(), streamFrom(jobs, nil), parallelism, func(i int, res JobResult) {
 		mu.Lock()
 		defer mu.Unlock()
 		out[i] = res
@@ -42,7 +43,7 @@ func collectStream(jobs []Job, parallelism int) []JobResult {
 func testJob(name string, t float64) Job {
 	return Job{
 		Name:    name,
-		Build:   func() (Model, error) { return Model{Computation: constTime(t)}, nil },
+		Build:   func(context.Context) (Model, error) { return Model{Computation: constTime(t)}, nil },
 		Workers: Range(1, 4),
 	}
 }
@@ -51,54 +52,66 @@ func constTime(t float64) TimeFunc {
 	return func(n int) units.Seconds { return units.Seconds(t / float64(n)) }
 }
 
-func TestForEachStreamCoversEveryIndexOnce(t *testing.T) {
+func TestRunWorkersCoversEveryUnitOnce(t *testing.T) {
 	for _, parallel := range []int{1, 0, runtime.GOMAXPROCS(0)} {
 		const n = 137
+		var mu sync.Mutex
 		i := 0
-		next := func() (int, bool) {
-			if i >= n {
-				return 0, false
-			}
-			i++
-			return i - 1, true
-		}
 		var hits [n]atomic.Int32
-		ForEachStream(parallel, next, func(i int) { hits[i].Add(1) })
+		runWorkers(parallel, 0, func() bool {
+			mu.Lock()
+			k := i
+			i++
+			mu.Unlock()
+			if k >= n {
+				return false
+			}
+			hits[k].Add(1)
+			return true
+		})
 		for i := range hits {
 			if got := hits[i].Load(); got != 1 {
-				t.Fatalf("parallel=%d: index %d visited %d times", parallel, i, got)
+				t.Fatalf("parallel=%d: unit %d processed %d times", parallel, i, got)
 			}
 		}
 	}
 }
 
-func TestForEachStreamRepanics(t *testing.T) {
+func TestRunWorkersRepanics(t *testing.T) {
 	defer func() {
 		r := recover()
 		if r == nil || !strings.Contains(fmt.Sprint(r), "boom") {
-			t.Fatalf("recover() = %v, want the body's panic", r)
+			t.Fatalf("recover() = %v, want the step's panic", r)
 		}
 	}()
-	i := 0
-	ForEachStream(2, func() (int, bool) { i++; return i, i <= 8 }, func(i int) {
-		if i == 3 {
+	var i atomic.Int32
+	runWorkers(2, 0, func() bool {
+		k := i.Add(1)
+		if k == 3 {
 			panic("boom")
 		}
+		return k <= 8
 	})
 }
 
-// TestEvaluateStreamMatchesEvaluateAll is the bit-identity check behind the
-// streaming suite path: same results, same dedup flags, at any parallelism.
-func TestEvaluateStreamMatchesEvaluateAll(t *testing.T) {
+// TestEvaluateStreamMatchesPerJobEvaluation is the bit-identity check behind
+// the streaming suite path: at any parallelism, every result equals the
+// job's own stand-alone evaluation, except that a duplicate of a successful
+// representative is served deduped under its own name.
+func TestEvaluateStreamMatchesPerJobEvaluation(t *testing.T) {
 	jobs := []Job{
 		testJob("a", 8),
-		{Name: "b1", Build: func() (Model, error) { return Model{Computation: constTime(4)}, nil }, Workers: Range(1, 4), Key: "k1"},
-		{Name: "b2", Build: func() (Model, error) { return Model{Computation: constTime(4)}, nil }, Workers: Range(1, 4), Key: "k1"},
-		{Name: "fail1", Build: func() (Model, error) { return Model{}, errors.New("no model") }, Workers: Range(1, 2), Key: "k2"},
-		{Name: "fail2", Build: func() (Model, error) { return Model{}, errors.New("no model") }, Workers: Range(1, 2), Key: "k2"},
+		{Name: "b1", Build: func(context.Context) (Model, error) { return Model{Computation: constTime(4)}, nil }, Workers: Range(1, 4), Key: "k1"},
+		{Name: "b2", Build: func(context.Context) (Model, error) { return Model{Computation: constTime(4)}, nil }, Workers: Range(1, 4), Key: "k1"},
+		{Name: "fail1", Build: func(context.Context) (Model, error) { return Model{}, errors.New("no model") }, Workers: Range(1, 2), Key: "k2"},
+		{Name: "fail2", Build: func(context.Context) (Model, error) { return Model{}, errors.New("no model") }, Workers: Range(1, 2), Key: "k2"},
 		testJob("c", 2),
 	}
-	want := EvaluateAll(jobs, 1)
+	want := make([]JobResult, len(jobs))
+	for i, j := range jobs {
+		want[i] = evaluateOne(context.Background(), j)
+	}
+	want[2].Deduped = true // b2 relabels b1's curve; failed k2 duplicates re-evaluate
 	for _, parallel := range []int{1, 0, runtime.GOMAXPROCS(0)} {
 		got := collectStream(jobs, parallel)
 		if len(got) != len(want) {
@@ -137,7 +150,7 @@ func TestEvaluateStreamDedupsOnce(t *testing.T) {
 	for i := range jobs {
 		jobs[i] = Job{
 			Name: fmt.Sprintf("cell-%d", i),
-			Build: func() (Model, error) {
+			Build: func(context.Context) (Model, error) {
 				builds.Add(1)
 				return Model{Computation: constTime(6)}, nil
 			},
@@ -175,7 +188,7 @@ func TestEvaluateStreamDedupsOnce(t *testing.T) {
 
 func TestEvaluateStreamEmptyStream(t *testing.T) {
 	calls := 0
-	EvaluateStream(func() (StreamJob, bool) { return StreamJob{}, false }, 4, func(int, JobResult) { calls++ })
+	EvaluateStreamCtx(context.Background(), func() (StreamJob, bool) { return StreamJob{}, false }, 4, func(int, JobResult) { calls++ })
 	if calls != 0 {
 		t.Fatalf("emit called %d times on an empty stream", calls)
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"dmlscale/internal/asciiplot"
@@ -34,7 +35,7 @@ func Fig2Workload() gd.Workload {
 // Spark's two-wave aggregation over 1 Gbit/s Ethernet. It is built from the
 // canonical Fig. 2 scenario, the same registry path user scenario files take.
 func Fig2Model() (core.Model, error) {
-	return scenario.Fig2().Model()
+	return scenario.Fig2().ModelCtx(context.Background())
 }
 
 // Figure2 reproduces the paper's Fig. 2: speedup of one training iteration

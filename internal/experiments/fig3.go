@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"dmlscale/internal/asciiplot"
@@ -31,7 +32,7 @@ func Fig3Workload() gd.Workload {
 // t(n) = ((C·S)/F + 2·(32·W/B)·log n)/n on derated K40 workers, built from
 // the canonical Fig. 3 scenario through the registry.
 func Fig3Model() (core.Model, error) {
-	return scenario.Fig3().Model()
+	return scenario.Fig3().ModelCtx(context.Background())
 }
 
 // fig3Workers are the cluster sizes Chen et al. report around the paper's
@@ -80,7 +81,7 @@ func Figure3(opts Options) (Result, error) {
 	// growing without bound. Same scenario, protocol swapped by name.
 	linScenario := scenario.Fig3()
 	linScenario.Protocol.Kind = "linear"
-	linModel, err := linScenario.Model()
+	linModel, err := linScenario.ModelCtx(context.Background())
 	if err != nil {
 		return Result{}, err
 	}

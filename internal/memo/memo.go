@@ -22,24 +22,24 @@
 // later caller recomputes instead of reading a poisoned value. This is what
 // lets a long-running service recover from transient faults (an injected
 // panic, a cancelled computation) without a cache flush. Waiters are
-// individually abandonable: DoCtx returns the waiter's own context error
-// without disturbing the in-flight computation or its eventual caching.
+// individually abandonable: DoCtx and DoBatchCtx return the waiter's own
+// context error without disturbing the in-flight computation or its
+// eventual caching.
 package memo
 
 import (
 	"container/list"
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
 )
 
-// Stats is a point-in-time snapshot of a cache's counters. Hits count Do
-// calls served by an existing entry (including entries still being filled
+// Stats is a point-in-time snapshot of a cache's counters. Hits count keys
+// served by an existing entry (including entries still being filled
 // by another goroutine — the caller waits on the single-flight instead of
-// recomputing); misses count calls that inserted a fresh entry, i.e. the
-// number of computations started since the last Reset; evictions count
+// recomputing); misses count keys that inserted a fresh entry, i.e. the
+// number of values computed since the last Reset; evictions count
 // entries dropped past the capacity bound; drops count entries removed
 // because their computation failed or panicked (each such key recomputes on
 // its next use).
@@ -134,88 +134,26 @@ func (c *Cache[K, V]) stripeFor(key K) *stripe[K, V] {
 	return &c.stripes[c.hash(key)&c.mask]
 }
 
-// Do is DoCtx without a context: the caller waits for an in-flight
-// computation unconditionally.
-func (c *Cache[K, V]) Do(key K, compute func() (V, error)) (V, error) {
-	return c.DoCtx(context.Background(), key, compute)
-}
-
 // DoCtx returns the memoized result of compute for key, running compute at
 // most once per cached lifetime of the key — concurrent callers of a fresh
-// key wait on the first caller's computation instead of repeating it. The
-// returned value is shared with every other caller of the same key and must
-// be treated as read-only; compute must be deterministic in the key.
-//
-// ctx governs only this caller's wait, never the computation: a waiter whose
-// context expires returns ctx.Err() immediately, while the computing
-// goroutine carries on and its result is cached for later callers. Only
-// successful results stay cached. A compute that returns an error — the
-// computing caller's own cancellation included — or panics hands that
-// failure to the callers already waiting on the entry and then drops the
-// entry, so the next caller recomputes; a panic additionally re-raises on
-// the computing caller.
+// key wait on the first caller's computation instead of repeating it. It is
+// a one-key DoBatchCtx, so it shares that call's claim, failure and
+// cancellation policy exactly. The returned value is shared with every
+// other caller of the same key and must be treated as read-only; compute
+// must be deterministic in the key.
 func (c *Cache[K, V]) DoCtx(ctx context.Context, key K, compute func() (V, error)) (V, error) {
-	st := c.stripeFor(key)
-	st.mu.Lock()
-	if el, ok := st.entries[key]; ok {
-		st.order.MoveToFront(el)
-		e := el.Value.(*item[K, V]).entry
-		st.mu.Unlock()
-		c.hits.Add(1)
-		select {
-		case <-e.done:
-			return e.val, e.err
-		case <-ctx.Done():
-			var zero V
-			return zero, ctx.Err()
+	vals, err := c.DoBatchCtx(ctx, []K{key}, func([]K) ([]V, error) {
+		v, err := compute()
+		if err != nil {
+			return nil, err
 		}
+		return []V{v}, nil
+	})
+	if err != nil {
+		var zero V
+		return zero, err
 	}
-	e := &entry[V]{done: make(chan struct{})}
-	st.entries[key] = st.order.PushFront(&item[K, V]{key: key, entry: e})
-	evicted := 0
-	for len(st.entries) > st.cap {
-		back := st.order.Back()
-		st.order.Remove(back)
-		delete(st.entries, back.Value.(*item[K, V]).key)
-		evicted++
-	}
-	st.mu.Unlock()
-	c.misses.Add(1)
-	if evicted > 0 {
-		c.evictions.Add(int64(evicted))
-	}
-
-	completed := false
-	defer func() {
-		if completed {
-			return
-		}
-		// compute panicked. Publish an error describing the panic to the
-		// waiters already coalesced on this entry — a closed done channel
-		// with a zero value and nil error would be a silently poisoned
-		// read — then drop the entry so later callers recompute, and let
-		// the panic continue to the computing caller.
-		e.err = fmt.Errorf("memo: compute panicked: %v", recover())
-		c.drop(st, key, e)
-		close(e.done)
-		panic(e.err)
-	}()
-	e.val, e.err = compute()
-	completed = true
-	if e.err != nil {
-		// Failures never stay cached: transient ones (cancellation, injected
-		// faults, resource pressure) would poison the key for every later
-		// caller, and deterministic ones merely recompute cheaply.
-		c.drop(st, key, e)
-	}
-	close(e.done)
-	return e.val, e.err
-}
-
-// DoBatch is DoBatchCtx without a context: the caller waits for in-flight
-// computations unconditionally.
-func (c *Cache[K, V]) DoBatch(keys []K, compute func(missing []K) ([]V, error)) ([]V, error) {
-	return c.DoBatchCtx(context.Background(), keys, compute)
+	return vals[0], nil
 }
 
 // DoBatchCtx returns the memoized results for keys — aligned with keys —
@@ -227,13 +165,16 @@ func (c *Cache[K, V]) DoBatch(keys []K, compute func(missing []K) ([]V, error)) 
 // that key's single-flight entry as usual — one batched computation
 // populates every missing key while other callers wait per key.
 //
-// The failure policy is DoCtx's, applied batch-wide: an error or panic
-// from compute publishes that failure to every waiter coalesced on any of
-// the batch's fresh entries, drops them all (no partial fills — compute's
-// values are only trusted as a complete, aligned set), and a panic
-// re-raises. ctx governs only this caller's waits on entries other callers
-// are filling; the batch's own compute always runs to completion once
-// started.
+// ctx governs only this caller's waits on entries other callers are
+// filling, never the computation: a waiter whose context expires returns
+// ctx.Err() immediately, while the computing goroutine carries on and its
+// result is cached for later callers. Only successful results stay cached.
+// A compute that returns an error — the computing caller's own
+// cancellation included — or panics hands that failure to every waiter
+// coalesced on any of the batch's fresh entries and then drops them all
+// (no partial fills — compute's values are only trusted as a complete,
+// aligned set), so the next caller recomputes; a panic additionally
+// re-raises on the computing caller.
 //
 // Two overlapping batches cannot deadlock: a batch computes the keys it
 // claimed before waiting on keys claimed by others, so whichever goroutine
@@ -297,9 +238,11 @@ func (c *Cache[K, V]) DoBatchCtx(ctx context.Context, keys []K, compute func(mis
 					return
 				}
 				// compute panicked: publish the failure to every waiter
-				// already coalesced on a batch entry, drop the entries so
-				// later callers recompute, and let the panic continue.
-				perr := fmt.Errorf("memo: batch compute panicked: %v", recover())
+				// already coalesced on a batch entry — a closed done channel
+				// with a zero value and nil error would be a silently
+				// poisoned read — drop the entries so later callers
+				// recompute, and let the panic continue.
+				perr := fmt.Errorf("memo: compute panicked: %v", recover())
 				for i, e := range owned {
 					e.err = perr
 					c.drop(c.stripeFor(missing[i]), missing[i], e)
@@ -315,6 +258,10 @@ func (c *Cache[K, V]) DoBatchCtx(ctx context.Context, keys []K, compute func(mis
 		}
 		for i, e := range owned {
 			if err != nil {
+				// Failures never stay cached: transient ones (cancellation,
+				// injected faults, resource pressure) would poison the key
+				// for every later caller, and deterministic ones merely
+				// recompute cheaply.
 				e.err = err
 				c.drop(c.stripeFor(missing[i]), missing[i], e)
 			} else {
@@ -356,13 +303,6 @@ func (c *Cache[K, V]) drop(st *stripe[K, V], key K, e *entry[V]) {
 		c.drops.Add(1)
 	}
 	st.mu.Unlock()
-}
-
-// IsContextError reports whether err carries a context cancellation or
-// deadline expiry — the test evaluation layers use to distinguish "this
-// request was abandoned" from "this model is broken".
-func IsContextError(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
 // Len returns the current number of cached keys across all stripes.

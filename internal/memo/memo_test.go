@@ -15,7 +15,7 @@ func TestDoCachesValues(t *testing.T) {
 	c := New[string, int](4, 1, nil)
 	calls := 0
 	get := func(k string) int {
-		v, err := c.Do(k, func() (int, error) {
+		v, err := c.DoCtx(context.Background(), k, func() (int, error) {
 			calls++
 			return len(k), nil
 		})
@@ -50,7 +50,7 @@ func TestDoDropsErrorEntries(t *testing.T) {
 	boom := errors.New("boom")
 	calls := 0
 	for i := 0; i < 3; i++ {
-		if _, err := c.Do(7, func() (int, error) {
+		if _, err := c.DoCtx(context.Background(), 7, func() (int, error) {
 			calls++
 			return 0, boom
 		}); !errors.Is(err, boom) {
@@ -65,7 +65,7 @@ func TestDoDropsErrorEntries(t *testing.T) {
 	}
 	ok := 0
 	for i := 0; i < 2; i++ {
-		if v, err := c.Do(7, func() (int, error) { ok++; return 49, nil }); v != 49 || err != nil {
+		if v, err := c.DoCtx(context.Background(), 7, func() (int, error) { ok++; return 49, nil }); v != 49 || err != nil {
 			t.Fatalf("recovered key got (%d, %v), want (49, nil)", v, err)
 		}
 	}
@@ -77,21 +77,21 @@ func TestDoDropsErrorEntries(t *testing.T) {
 func TestLRUEviction(t *testing.T) {
 	c := New[string, int](2, 1, nil)
 	one := func() (int, error) { return 1, nil }
-	c.Do("a", one)
-	c.Do("b", one)
-	c.Do("a", one) // promote a; b is now LRU
-	c.Do("c", one) // evicts b
+	c.DoCtx(context.Background(), "a", one)
+	c.DoCtx(context.Background(), "b", one)
+	c.DoCtx(context.Background(), "a", one) // promote a; b is now LRU
+	c.DoCtx(context.Background(), "c", one) // evicts b
 	st := c.Stats()
 	if st.Evictions != 1 || st.Entries != 2 {
 		t.Fatalf("stats = %+v, want 1 eviction, 2 entries", st)
 	}
 	misses := st.Misses
-	c.Do("a", one)
-	c.Do("c", one)
+	c.DoCtx(context.Background(), "a", one)
+	c.DoCtx(context.Background(), "c", one)
 	if got := c.Stats().Misses; got != misses {
 		t.Errorf("survivors recomputed: misses %d → %d", misses, got)
 	}
-	c.Do("b", one)
+	c.DoCtx(context.Background(), "b", one)
 	if got := c.Stats().Misses; got != misses+1 {
 		t.Errorf("evicted key served from cache: misses %d → %d", misses, got)
 	}
@@ -104,7 +104,7 @@ func TestStripedCacheBoundsEntries(t *testing.T) {
 		t.Fatalf("stripes = %d, want 4", len(c.stripes))
 	}
 	for i := 0; i < 100; i++ {
-		c.Do(i, func() (int, error) { return i, nil })
+		c.DoCtx(context.Background(), i, func() (int, error) { return i, nil })
 	}
 	if n := c.Len(); n > capacity {
 		t.Errorf("cache holds %d entries, capacity %d", n, capacity)
@@ -159,7 +159,7 @@ func TestSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			v, err := c.Do(1, func() (int, error) {
+			v, err := c.DoCtx(context.Background(), 1, func() (int, error) {
 				computes.Add(1)
 				return 42, nil
 			})
@@ -192,7 +192,7 @@ func TestConcurrentEvictionHammer(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 400; i++ {
 				key := (g*7 + i) % 97
-				v, err := c.Do(key, func() (int, error) { return key * key, nil })
+				v, err := c.DoCtx(context.Background(), key, func() (int, error) { return key * key, nil })
 				if err != nil {
 					t.Error(err)
 					return
@@ -221,7 +221,7 @@ func TestDoPanicDoesNotPoisonEntry(t *testing.T) {
 	firstPanic := make(chan any, 1)
 	go func() {
 		defer func() { firstPanic <- recover() }()
-		c.Do(1, func() (int, error) {
+		c.DoCtx(context.Background(), 1, func() (int, error) {
 			close(started)
 			<-release
 			panic("kaboom")
@@ -230,7 +230,7 @@ func TestDoPanicDoesNotPoisonEntry(t *testing.T) {
 	<-started // the single-flight entry is now in the map, compute blocked
 	waiterErr := make(chan error, 1)
 	go func() {
-		_, err := c.Do(1, func() (int, error) {
+		_, err := c.DoCtx(context.Background(), 1, func() (int, error) {
 			t.Error("waiter recomputed instead of coalescing on the in-flight entry")
 			return 0, nil
 		})
@@ -247,11 +247,11 @@ func TestDoPanicDoesNotPoisonEntry(t *testing.T) {
 		t.Errorf("coalesced waiter got err %v, want the panic error", err)
 	}
 	// The poisoned entry is gone: a later caller recomputes and succeeds.
-	if v, err := c.Do(1, func() (int, error) { return 7, nil }); v != 7 || err != nil {
+	if v, err := c.DoCtx(context.Background(), 1, func() (int, error) { return 7, nil }); v != 7 || err != nil {
 		t.Errorf("later caller got (%d, %v), want (7, nil)", v, err)
 	}
 	// Other keys are unaffected.
-	if v, err := c.Do(2, func() (int, error) { return 7, nil }); v != 7 || err != nil {
+	if v, err := c.DoCtx(context.Background(), 2, func() (int, error) { return 7, nil }); v != 7 || err != nil {
 		t.Errorf("healthy key got (%d, %v)", v, err)
 	}
 }
@@ -267,7 +267,7 @@ func TestDoCtxAbandonedWaiter(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		v, err := c.Do(1, func() (int, error) {
+		v, err := c.DoCtx(context.Background(), 1, func() (int, error) {
 			close(started)
 			<-release
 			return 42, nil
@@ -289,7 +289,7 @@ func TestDoCtxAbandonedWaiter(t *testing.T) {
 	<-done
 	// The abandoned wait did not prevent caching: a later caller hits.
 	calls := 0
-	if v, err := c.Do(1, func() (int, error) { calls++; return 0, nil }); v != 42 || err != nil || calls != 0 {
+	if v, err := c.DoCtx(context.Background(), 1, func() (int, error) { calls++; return 0, nil }); v != 42 || err != nil || calls != 0 {
 		t.Errorf("later caller got (%d, %v, %d recomputes), want the cached 42", v, err, calls)
 	}
 	if st := c.Stats(); st.Drops != 0 {
@@ -309,22 +309,22 @@ func TestDoCtxComputingCallerCancelled(t *testing.T) {
 	}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if v, err := c.Do(5, func() (int, error) { return 9, nil }); v != 9 || err != nil {
+	if v, err := c.DoCtx(context.Background(), 5, func() (int, error) { return 9, nil }); v != 9 || err != nil {
 		t.Errorf("post-cancellation caller got (%d, %v), want (9, nil)", v, err)
 	}
 }
 
 func TestReset(t *testing.T) {
 	c := New[int, int](4, 1, nil)
-	c.Do(1, func() (int, error) { return 1, nil })
-	c.Do(1, func() (int, error) { return 1, nil })
+	c.DoCtx(context.Background(), 1, func() (int, error) { return 1, nil })
+	c.DoCtx(context.Background(), 1, func() (int, error) { return 1, nil })
 	c.Reset()
 	st := c.Stats()
 	if st.Hits != 0 || st.Misses != 0 || st.Evictions != 0 || st.Entries != 0 {
 		t.Errorf("stats after reset = %+v, want all zero", st)
 	}
 	calls := 0
-	c.Do(1, func() (int, error) { calls++; return 2, nil })
+	c.DoCtx(context.Background(), 1, func() (int, error) { calls++; return 2, nil })
 	if calls != 1 {
 		t.Errorf("entry survived reset")
 	}
@@ -361,12 +361,12 @@ func TestMixAndHashInt32s(t *testing.T) {
 func BenchmarkDoHit(b *testing.B) {
 	c := New[int, float64](4096, 16, func(k int) uint64 { return Mix(uint64(k)) })
 	for i := 0; i < 64; i++ {
-		c.Do(i, func() (float64, error) { return float64(i), nil })
+		c.DoCtx(context.Background(), i, func() (float64, error) { return float64(i), nil })
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.Do(i%64, func() (float64, error) { return 0, fmt.Errorf("cold") }); err != nil {
+		if _, err := c.DoCtx(context.Background(), i%64, func() (float64, error) { return 0, fmt.Errorf("cold") }); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -376,12 +376,12 @@ func TestDoBatchFillsMissingOnce(t *testing.T) {
 	c := New[int, int](16, 1, nil)
 	// Warm two of the five keys individually.
 	for _, k := range []int{2, 4} {
-		if _, err := c.Do(k, func() (int, error) { return k * 10, nil }); err != nil {
+		if _, err := c.DoCtx(context.Background(), k, func() (int, error) { return k * 10, nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
 	var computes atomic.Int64
-	vals, err := c.DoBatch([]int{1, 2, 3, 4, 5}, func(missing []int) ([]int, error) {
+	vals, err := c.DoBatchCtx(context.Background(), []int{1, 2, 3, 4, 5}, func(missing []int) ([]int, error) {
 		computes.Add(1)
 		want := []int{1, 3, 5}
 		if len(missing) != len(want) {
@@ -411,7 +411,7 @@ func TestDoBatchFillsMissingOnce(t *testing.T) {
 		t.Errorf("batch compute ran %d times, want 1", computes.Load())
 	}
 	// Every key is now cached: a second batch computes nothing.
-	vals, err = c.DoBatch([]int{5, 4, 3, 2, 1}, func(missing []int) ([]int, error) {
+	vals, err = c.DoBatchCtx(context.Background(), []int{5, 4, 3, 2, 1}, func(missing []int) ([]int, error) {
 		t.Errorf("warm batch recomputed %v", missing)
 		return nil, nil
 	})
@@ -427,7 +427,7 @@ func TestDoBatchFillsMissingOnce(t *testing.T) {
 
 func TestDoBatchFoldsDuplicates(t *testing.T) {
 	c := New[int, int](16, 1, nil)
-	vals, err := c.DoBatch([]int{7, 7, 8, 7}, func(missing []int) ([]int, error) {
+	vals, err := c.DoBatchCtx(context.Background(), []int{7, 7, 8, 7}, func(missing []int) ([]int, error) {
 		if len(missing) != 2 || missing[0] != 7 || missing[1] != 8 {
 			t.Errorf("missing = %v, want [7 8]", missing)
 		}
@@ -451,7 +451,7 @@ func TestDoBatchFoldsDuplicates(t *testing.T) {
 func TestDoBatchErrorDropsAllEntries(t *testing.T) {
 	c := New[int, int](16, 1, nil)
 	boom := errors.New("boom")
-	if _, err := c.DoBatch([]int{1, 2, 3}, func([]int) ([]int, error) {
+	if _, err := c.DoBatchCtx(context.Background(), []int{1, 2, 3}, func([]int) ([]int, error) {
 		return nil, boom
 	}); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
@@ -460,7 +460,7 @@ func TestDoBatchErrorDropsAllEntries(t *testing.T) {
 		t.Errorf("stats = %+v, want 0 entries, 3 drops", st)
 	}
 	// A misaligned result set is an error too, and nothing stays cached.
-	if _, err := c.DoBatch([]int{1, 2}, func([]int) ([]int, error) {
+	if _, err := c.DoBatchCtx(context.Background(), []int{1, 2}, func([]int) ([]int, error) {
 		return []int{10}, nil
 	}); err == nil {
 		t.Fatal("misaligned batch result accepted")
@@ -483,7 +483,7 @@ func TestDoBatchPanicDoesNotPoisonEntries(t *testing.T) {
 				t.Error("batch compute panic did not re-raise")
 			}
 		}()
-		c.DoBatch([]int{1, 2}, func([]int) ([]int, error) {
+		c.DoBatchCtx(context.Background(), []int{1, 2}, func([]int) ([]int, error) {
 			close(started)
 			<-release
 			panic("kaboom")
@@ -491,7 +491,7 @@ func TestDoBatchPanicDoesNotPoisonEntries(t *testing.T) {
 	}()
 	<-started
 	go func() {
-		_, err := c.Do(1, func() (int, error) {
+		_, err := c.DoCtx(context.Background(), 1, func() (int, error) {
 			t.Error("waiter recomputed while batch in flight")
 			return 0, nil
 		})
@@ -505,7 +505,7 @@ func TestDoBatchPanicDoesNotPoisonEntries(t *testing.T) {
 		t.Errorf("waiter err = %v, want published panic", err)
 	}
 	// The keys recompute cleanly now.
-	v, err := c.Do(1, func() (int, error) { return 11, nil })
+	v, err := c.DoCtx(context.Background(), 1, func() (int, error) { return 11, nil })
 	if err != nil || v != 11 {
 		t.Errorf("recompute after panic = %d, %v", v, err)
 	}
@@ -536,7 +536,7 @@ func TestDoBatchCoalescesWithSingles(t *testing.T) {
 			for k := g; k < g+32; k++ {
 				keys = append(keys, k)
 			}
-			vals, err := c.DoBatch(keys, fill)
+			vals, err := c.DoBatchCtx(context.Background(), keys, fill)
 			if err != nil {
 				t.Error(err)
 				return
@@ -551,7 +551,7 @@ func TestDoBatchCoalescesWithSingles(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for k := g; k < g+32; k++ {
-				v, err := c.Do(k, func() (int, error) {
+				v, err := c.DoCtx(context.Background(), k, func() (int, error) {
 					computed.Add(1)
 					return k * 10, nil
 				})

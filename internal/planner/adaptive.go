@@ -16,8 +16,7 @@ import (
 )
 
 // Options selects the planner's adaptive behaviors. The zero value is the
-// exhaustive pass: every cell evaluated, no constraints, no refinement —
-// bit-identical to the pre-adaptive PlanSuite.
+// exhaustive pass: every cell evaluated, no constraints, no refinement.
 type Options struct {
 	// Prune skips cells whose optimistic cost×time bound is already
 	// strictly dominated by evaluated plans. The final frontier — and
@@ -49,10 +48,17 @@ func (o Options) constrained() bool {
 	return o.MaxCost > 0 || o.MaxTimeSeconds > 0
 }
 
-// PlanSuiteOpts is PlanSuite with adaptive options and evaluation
-// statistics. With the zero Options it runs the exhaustive pass and the
-// stats only count plans; with pruning, constraints or refinement it runs
-// the streaming adaptive search:
+// PlanSuiteCtx expands the suite and plans every scenario concurrently on
+// the shared parallelism budget (core.SetParallelism, default GOMAXPROCS);
+// parallelism caps the suite-level workers within that budget, ≤ 0 meaning
+// no extra cap. objective overrides the suite's own objective field when
+// non-empty. Scenario errors isolate: a bad grid point yields a Plan with
+// Err set, ranked after every successful plan, and the rest of the suite
+// completes.
+//
+// With the zero Options it runs the exhaustive pass and the stats only
+// count plans; with pruning, constraints or refinement it runs the
+// streaming adaptive search:
 //
 //  1. Every cell's optimistic (time, cost) bound is computed from the
 //     registry's monotone bound hooks — catalog resolution only, no model
@@ -69,14 +75,10 @@ func (o Options) constrained() bool {
 // evaluated frontier is identical to the exhaustive one at any parallelism
 // (see Frontier). Which dominated cells get pruned versus evaluated may vary
 // with scheduling; frontier membership and every evaluated plan cannot.
-func PlanSuiteOpts(s scenario.Suite, objective Objective, parallelism int, opts Options) (Report, scenario.EvalStats, error) {
-	return PlanSuiteCtx(context.Background(), s, objective, parallelism, opts)
-}
-
-// PlanSuiteCtx is PlanSuiteOpts under a context. Cancellation yields a
-// deterministic partial report: every cell still gets exactly one plan —
-// cells planned before ctx fired are bit-identical to an uncancelled run's,
-// the rest carry an error wrapping ctx.Err() (counted in
+//
+// Cancellation yields a deterministic partial report: every cell still gets
+// exactly one plan — cells planned before ctx fired are bit-identical to an
+// uncancelled run's, the rest carry an error wrapping ctx.Err() (counted in
 // EvalStats.Cancelled and ranked with the failures) — and the returned
 // error is ctx's, so callers can tell an abandoned run from an invalid
 // suite while still rendering what completed.
@@ -110,20 +112,11 @@ func PlanSuiteCtx(ctx context.Context, s scenario.Suite, objective Objective, pa
 	var stats scenario.EvalStats
 	if !opts.adaptive() {
 		plans = make([]Plan, n)
-		var visited []bool
-		if ctx.Done() != nil {
-			visited = make([]bool, n)
-		}
-		core.ForEachCtx(ctx, n, parallelism, func(i int) {
-			if visited != nil {
-				visited[i] = true
-			}
+		m := core.ForEachCtx(ctx, n, parallelism, func(i int) {
 			plans[i] = planOne(ctx, cs.At(i).Scenario)
 		})
-		for i := range visited {
-			if !visited[i] {
-				plans[i] = cancelledPlan(cs.At(i).Scenario, ctx.Err())
-			}
+		for i := m; i < n; i++ {
+			plans[i] = cancelledPlan(cs.At(i).Scenario, ctx.Err())
 		}
 	} else {
 		var cells []scenario.Cell
@@ -136,7 +129,7 @@ func PlanSuiteCtx(ctx context.Context, s scenario.Suite, objective Objective, pa
 	stats.Scenarios = len(plans)
 	for i := range plans {
 		switch {
-		case plans[i].Err != nil && isCtxErr(plans[i].Err):
+		case resilience.IsCancelled(plans[i].Err):
 			stats.Cancelled++
 		case plans[i].Err != nil:
 			stats.Failed++
@@ -213,22 +206,12 @@ func adaptivePass(ctx context.Context, cs *scenario.CellSet, parallelism int, op
 	var frontier Frontier
 	var pruned atomic.Int64
 	plans := make([]Plan, n)
-	var visited []bool
-	if ctx.Done() != nil {
-		visited = make([]bool, n)
-	}
-	core.ForEachCtx(ctx, n, parallelism, func(k int) {
-		if visited != nil {
-			visited[k] = true
-		}
+	m := core.ForEachCtx(ctx, n, parallelism, func(k int) {
 		i := order[k]
 		plans[i] = planCell(ctx, cells[i], bounds[i], &frontier, opts, &pruned)
 	})
-	for k := range visited {
-		if !visited[k] {
-			i := order[k]
-			plans[i] = cancelledPlan(cells[i].Scenario, ctx.Err())
-		}
+	for _, i := range order[m:] {
+		plans[i] = cancelledPlan(cells[i].Scenario, ctx.Err())
 	}
 	return plans, cells, scenario.EvalStats{Pruned: int(pruned.Load()), BoundTime: boundTime}
 }

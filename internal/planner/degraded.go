@@ -36,20 +36,11 @@ func PlanSuiteDegradedCtx(ctx context.Context, s scenario.Suite, objective Objec
 	}
 	n := cs.Len()
 	plans := make([]Plan, n)
-	var visited []bool
-	if ctx.Done() != nil {
-		visited = make([]bool, n)
-	}
-	core.ForEachCtx(ctx, n, parallelism, func(i int) {
-		if visited != nil {
-			visited[i] = true
-		}
+	m := core.ForEachCtx(ctx, n, parallelism, func(i int) {
 		plans[i] = degradedPlan(cs.At(i))
 	})
-	for i := range visited {
-		if !visited[i] {
-			plans[i] = cancelledPlan(cs.At(i).Scenario, ctx.Err())
-		}
+	for i := m; i < n; i++ {
+		plans[i] = cancelledPlan(cs.At(i).Scenario, ctx.Err())
 	}
 	rankPlans(plans, objective)
 	return Report{Suite: s.Name, Objective: objective, Degraded: true, Plans: plans}, ctx.Err()

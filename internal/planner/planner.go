@@ -16,8 +16,8 @@
 // iteration/batch notion, like the graph-inference families — degrades
 // gracefully to per-iteration ranking, with a one-line notice explaining the
 // downgrade. Suite planning fans out on the shared parallelism budget
-// (core.ForEach), so ranking a 100-cell grid parallelizes exactly like
-// EvaluateAll, and the output is bit-identical at any parallelism. Model
+// (core.ForEachCtx), so ranking a 100-cell grid parallelizes exactly like
+// suite evaluation, and the output is bit-identical at any parallelism. Model
 // construction goes through the registry's process-wide caches, so planner
 // probes — including the per-iteration fallbacks that price graph-inference
 // cells — reuse the Monte-Carlo kernel estimates a sweep (or an earlier
@@ -26,7 +26,6 @@ package planner
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -36,6 +35,7 @@ import (
 	"dmlscale/internal/convergence"
 	"dmlscale/internal/obs"
 	"dmlscale/internal/registry"
+	"dmlscale/internal/resilience"
 	"dmlscale/internal/scenario"
 	"dmlscale/internal/units"
 )
@@ -154,11 +154,6 @@ func PlanScenario(sc scenario.Scenario) (Plan, error) {
 	return p, p.Err
 }
 
-// isCtxErr reports whether err wraps a context cancellation or deadline.
-func isCtxErr(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
 // cancelledPlan is the plan of a scenario abandoned by cancellation; its
 // error wraps the context's, so errors.Is distinguishes it from a model
 // failure.
@@ -166,24 +161,10 @@ func cancelledPlan(sc scenario.Scenario, err error) Plan {
 	return Plan{Scenario: sc, Err: fmt.Errorf("planner: scenario %q cancelled: %w", sc.Name, err)}
 }
 
-// PlanSuite expands the suite and plans every scenario concurrently on the
-// shared parallelism budget (core.SetParallelism, default GOMAXPROCS);
-// parallelism caps the suite-level workers within that budget, ≤ 0 meaning
-// no extra cap. objective overrides the suite's own objective field when
-// non-empty. Scenario errors isolate: a bad grid point yields a Plan with
-// Err set, ranked after every successful plan, and the rest of the suite
-// completes.
-func PlanSuite(s scenario.Suite, objective Objective, parallelism int) (Report, error) {
-	report, _, err := PlanSuiteOpts(s, objective, parallelism, Options{})
-	return report, err
-}
-
 // planOne builds the plan for one scenario, converting panics into errors so
 // a broken model cannot take down a suite-wide planning pass. A done context
-// short-circuits to a cancelled plan, and a panic carrying a context error —
-// how model closures surface cancellation from inside context-blind time
-// functions — unwraps to a clean cancelled plan rather than a "panicked"
-// error.
+// short-circuits to a cancelled plan, and so does a model build cut short by
+// cancellation.
 func planOne(ctx context.Context, sc scenario.Scenario) (p Plan) {
 	p.Scenario = sc
 	start := time.Now()
@@ -191,15 +172,7 @@ func planOne(ctx context.Context, sc scenario.Scenario) (p Plan) {
 	span.SetString("cell", sc.Name)
 	defer func() {
 		if r := recover(); r != nil {
-			if err, ok := r.(error); ok && isCtxErr(err) {
-				p = cancelledPlan(sc, err)
-			} else if err, ok := r.(error); ok {
-				// Wrap rather than flatten: classification (e.g. transient
-				// kernel faults) must survive the panic boundary.
-				p.Err = fmt.Errorf("planner: scenario %q panicked: %w", sc.Name, err)
-			} else {
-				p.Err = fmt.Errorf("planner: scenario %q panicked: %v", sc.Name, r)
-			}
+			p.Err = fmt.Errorf("planner: scenario %q panicked: %v", sc.Name, r)
 		}
 		p.PlanTime = time.Since(start)
 		span.SetError(p.Err)
@@ -272,15 +245,14 @@ func planOne(ctx context.Context, sc scenario.Scenario) (p Plan) {
 
 // fallbackPlan completes a plan for a scenario the planner cannot make
 // convergence-aware: it ranks by the per-iteration model's own time, prices
-// one iteration, and carries the notice explaining the downgrade. The
-// evaluation context is bound into the model, so the Monte-Carlo kernels
-// pricing graph-inference fallbacks observe cancellation (surfaced as a
-// ctx-carrying panic planOne's recover unwraps).
+// one iteration, and carries the notice explaining the downgrade. The model
+// is built under the evaluation context, so the Monte-Carlo kernels pricing
+// graph-inference fallbacks observe cancellation.
 func fallbackPlan(ctx context.Context, p Plan, sc scenario.Scenario, notice string) Plan {
 	p.Notice = notice
 	model, err := sc.ModelCtx(ctx)
 	if err != nil {
-		if isCtxErr(err) {
+		if resilience.IsCancelled(err) {
 			return cancelledPlan(sc, err)
 		}
 		p.Err = err
@@ -297,12 +269,8 @@ func fallbackPlan(ctx context.Context, p Plan, sc scenario.Scenario, notice stri
 // curveAndOptimum samples the plan's curve over the scenario's worker range
 // (1..MaxN) and finds the optimum with OptimalWorkers backed by the sampled
 // points, so the search re-evaluates nothing and the recommendation is
-// always one of the exported curve points. The model behind at was built
-// under the scenario's worker-set hint (scenario.ModelCtx →
-// registry.WithKernelWorkerSet), so for the graph families the first
-// sampled point batch-fills every point's Monte-Carlo estimate in one
-// common-random-numbers kernel pass and the rest of this loop reads a
-// local snapshot.
+// always one of the exported curve points. For the graph families that
+// range is exactly the axis scenario.ModelCtx priced at build.
 func curveAndOptimum(sc scenario.Scenario, at func(n int) Point) ([]Point, Point) {
 	workers := sc.Workers()
 	curve := make([]Point, len(workers))

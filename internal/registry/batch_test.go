@@ -2,11 +2,17 @@ package registry
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"dmlscale/internal/core"
+	"dmlscale/internal/partition"
+	"dmlscale/internal/units"
 )
 
 func batchTestDegrees() []int32 {
@@ -17,59 +23,104 @@ func batchTestDegrees() []int32 {
 	return degrees
 }
 
-// TestGraphInferenceModelBatchedMatchesSingle: a model built under a
-// worker-set hint prices every point bit-identically to one built without
-// it — common random numbers make each estimate a function of its own
-// coordinates only — while paying one batched kernel pass instead of one
-// pass per point.
+// TestGraphInferenceModelBatchedMatchesSingle: a model priced over a whole
+// worker axis in one batched kernel pass is bit-identical, point for point,
+// to models priced one worker count at a time — common random numbers make
+// each estimate a function of its own coordinates only — while paying one
+// pass instead of one per point.
 func TestGraphInferenceModelBatchedMatchesSingle(t *testing.T) {
 	ResetCaches()
 	defer ResetCaches()
 	degrees := batchTestDegrees()
 	workers := core.Range(1, 16)
 
-	ctx := WithKernelWorkerSet(context.Background(), workers)
-	batched, err := GraphInferenceModelCtx(ctx, "batched", degrees, 2, 1e9, 3, 42)
+	batched, err := GraphInferenceModel(context.Background(), "batched", degrees, 2, 1e9, 3, 42, workers)
 	if err != nil {
 		t.Fatal(err)
-	}
-	batchedTimes := make([]float64, len(workers))
-	for i, n := range workers {
-		batchedTimes[i] = float64(batched.Time(n))
 	}
 	st := SnapshotCaches()
 	if st.KernelBatches != 1 || st.KernelBatchKeys != int64(len(workers)) || st.KernelSingles != 0 {
-		t.Errorf("batched pass stats = %d batches / %d keys / %d singles, want 1 / %d / 0",
+		t.Errorf("batched build stats = %d batches / %d keys / %d singles, want 1 / %d / 0",
 			st.KernelBatches, st.KernelBatchKeys, st.KernelSingles, len(workers))
 	}
 	if st.Estimates.Misses != int64(len(workers)) {
-		t.Errorf("batched pass misses = %d, want %d (one per key)", st.Estimates.Misses, len(workers))
+		t.Errorf("batched build misses = %d, want %d (one per key)", st.Estimates.Misses, len(workers))
 	}
 
 	ResetCaches()
-	single, err := GraphInferenceModelCtx(context.Background(), "single", degrees, 2, 1e9, 3, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, n := range workers {
-		if got := float64(single.Time(n)); got != batchedTimes[i] {
-			t.Errorf("n=%d: single %v != batched %v", n, got, batchedTimes[i])
+	for _, n := range workers {
+		// The axis {n} prices n plus the speedup base 1; with 1 cached by
+		// the first iteration, every later build fills exactly one key.
+		single, err := GraphInferenceModel(context.Background(), "single", degrees, 2, 1e9, 3, 42, []int{n})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := single.Time(n), batched.Time(n); got != want {
+			t.Errorf("n=%d: batch of one %v != batched %v", n, got, want)
 		}
 	}
 	if st := SnapshotCaches(); st.KernelSingles != int64(len(workers)) || st.KernelBatches != 0 {
-		t.Errorf("single pass stats = %d singles / %d batches, want %d / 0",
+		t.Errorf("one-key builds = %d singles / %d batches, want %d / 0",
 			st.KernelSingles, st.KernelBatches, len(workers))
 	}
+}
 
-	// A point outside the hinted set falls back to the single path.
+// TestGraphModelTableMatchesBatchKernel: the table a build prices is the
+// kernel's own output — bit-identical to partition.MonteCarloMaxEdgesBatch
+// on the same axis, priced through the model's compute-time formula.
+func TestGraphModelTableMatchesBatchKernel(t *testing.T) {
 	ResetCaches()
-	outside, err := GraphInferenceModelCtx(WithKernelWorkerSet(context.Background(), []int{1, 2}), "outside", degrees, 2, 1e9, 3, 42)
+	defer ResetCaches()
+	degrees := batchTestDegrees()
+	axis := []int{1, 2, 3, 5, 8, 13, 21, 34}
+	model, err := GraphInferenceModel(context.Background(), "table", degrees, 14, 2e9, 4, 17, axis)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = outside.Time(5)
-	if st := SnapshotCaches(); st.KernelSingles != 1 || st.KernelBatches != 0 {
-		t.Errorf("out-of-set point: %d singles / %d batches, want 1 / 0", st.KernelSingles, st.KernelBatches)
+	ests, err := partition.MonteCarloMaxEdgesBatch(context.Background(), degrees, axis, 4, 17)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, n := range axis {
+		if got, want := model.Time(n), units.ComputeTime(ests[i].MaxEdges*14, 2e9); got != want {
+			t.Errorf("n=%d: table %v != kernel %v", n, got, want)
+		}
+	}
+}
+
+// TestGraphBuildCancelledMidKernel: a build whose context is cancelled
+// while its kernel pass runs returns an error satisfying
+// errors.Is(err, context.Canceled) — no panic — and leaves no estimate
+// cached, so the next build recomputes cleanly.
+func TestGraphBuildCancelledMidKernel(t *testing.T) {
+	ResetCaches()
+	defer ResetCaches()
+	inKernel := make(chan struct{})
+	var once sync.Once
+	SetKernelFault(func(KernelCall) KernelFault {
+		once.Do(func() { close(inKernel) })
+		return KernelFault{Delay: time.Minute}
+	})
+	defer SetKernelFault(nil)
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() {
+		<-inKernel
+		cancel()
+	}()
+	model, err := GraphInferenceModel(ctx, "cancelled", batchTestDegrees(), 2, 1e9, 3, 5, core.Range(1, 8))
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want one wrapping context.Canceled", err)
+	}
+	if model.Computation != nil {
+		t.Error("cancelled build returned a usable model")
+	}
+	st := SnapshotCaches().Estimates
+	if st.Entries != 0 || st.Drops != 8 {
+		t.Errorf("estimate cache after a cancelled build = %+v, want 0 entries and 8 drops", st)
+	}
+	SetKernelFault(nil)
+	if _, err := GraphInferenceModel(context.Background(), "retry", batchTestDegrees(), 2, 1e9, 3, 5, core.Range(1, 8)); err != nil {
+		t.Fatalf("rebuild after cancellation: %v", err)
 	}
 }
 
@@ -96,12 +147,10 @@ func TestBatchFillObservesPerKey(t *testing.T) {
 	})
 	defer SetKernelObserver(nil)
 
-	ctx := WithKernelWorkerSet(context.Background(), workers)
-	model, err := GraphInferenceModelCtx(ctx, "observed", degrees, 2, 1e9, 3, 7)
+	model, err := GraphInferenceModel(context.Background(), "observed", degrees, 2, 1e9, 3, 7, workers)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = model.Time(3) // one sampled point fills the whole set
 
 	if len(seen) != len(workers) {
 		t.Fatalf("observer saw %d calls, want %d (one per key)", len(seen), len(workers))
@@ -123,7 +172,7 @@ func TestBatchFillObservesPerKey(t *testing.T) {
 		SeedEstimate(rec.call, rec.value)
 	}
 	observed := len(seen)
-	replayed, err := GraphInferenceModelCtx(ctx, "replayed", degrees, 2, 1e9, 3, 7)
+	replayed, err := GraphInferenceModel(context.Background(), "replayed", degrees, 2, 1e9, 3, 7, workers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,23 +187,32 @@ func TestBatchFillObservesPerKey(t *testing.T) {
 	}
 }
 
-func TestWithKernelWorkerSetNormalizes(t *testing.T) {
-	ctx := WithKernelWorkerSet(context.Background(), []int{8, 2, 2, -1, 0, 5})
-	got := KernelWorkerSet(ctx)
-	want := []int{2, 5, 8}
-	if len(got) != len(want) {
-		t.Fatalf("KernelWorkerSet = %v, want %v", got, want)
+// TestGraphModelAxisNormalizes: the priced axis is the given worker counts
+// sorted and deduplicated, plus the speedup base n = 1; exactly those
+// points are estimated, and only those can be sampled.
+func TestGraphModelAxisNormalizes(t *testing.T) {
+	ResetCaches()
+	defer ResetCaches()
+	model, err := GraphInferenceModel(context.Background(), "axis", batchTestDegrees(), 2, 1e9, 1, 3, []int{8, 2, 2, 5})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("KernelWorkerSet = %v, want %v", got, want)
+	if st := SnapshotCaches().Estimates; st.Misses != 4 {
+		t.Errorf("%d estimates for the axis {1, 2, 5, 8}", st.Misses)
+	}
+	for _, n := range []int{1, 2, 5, 8} {
+		if tt := model.Time(n); tt <= 0 {
+			t.Errorf("t(%d) = %v", n, tt)
 		}
 	}
-	// All-invalid input leaves the context unannotated.
-	if ws := KernelWorkerSet(WithKernelWorkerSet(context.Background(), []int{0, -3})); ws != nil {
-		t.Errorf("empty hint produced %v", ws)
-	}
-	if ws := KernelWorkerSet(context.Background()); ws != nil {
-		t.Errorf("bare context carries %v", ws)
+	for _, n := range []int{0, 3, 9} {
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "not priced") {
+					t.Errorf("Time(%d) outside the axis: recover() = %v", n, r)
+				}
+			}()
+			model.Time(n)
+		}()
 	}
 }

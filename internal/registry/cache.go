@@ -1,6 +1,7 @@
 package registry
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync/atomic"
@@ -91,17 +92,18 @@ var (
 // CacheStats is a point-in-time snapshot of every process-wide registry
 // cache, one memo.Stats per layer.
 type CacheStats struct {
-	// Degrees counts generated degree sequences (GraphDegrees).
+	// Degrees counts generated degree sequences (GraphDegreesCtx).
 	Degrees memo.Stats
 	// Graphs counts materialized graphs (BuildGraph).
 	Graphs memo.Stats
-	// Estimates counts Monte-Carlo maxᵢEᵢ kernels (GraphInferenceModel) —
+	// Estimates counts Monte-Carlo maxᵢEᵢ estimates (GraphInferenceModel) —
 	// the hot one: its misses are the number of distinct estimations
 	// actually performed.
 	Estimates memo.Stats
-	// KernelBatches counts batched kernel passes (one common-random-numbers
-	// RNG pass filling a whole worker set), KernelBatchKeys the estimates
-	// those passes filled, and KernelSingles the one-key computes — so
+	// KernelBatches counts kernel passes that filled more than one estimate
+	// (one common-random-numbers RNG pass over a model's missing worker
+	// counts), KernelBatchKeys the estimates those passes filled, and
+	// KernelSingles the passes that filled exactly one — so
 	// KernelBatchKeys + KernelSingles ≈ Estimates.Misses and the batched
 	// share of kernel work is visible in -stats.
 	KernelBatches   int64
@@ -162,7 +164,7 @@ func SeedEstimate(call KernelCall, value float64) {
 		trials:   call.Trials,
 		seed:     call.Seed,
 	}
-	estimateCache.Do(key, func() (float64, error) { return value, nil })
+	estimateCache.DoCtx(context.Background(), key, func() (float64, error) { return value, nil })
 }
 
 // kernelComputeNanos accumulates wall time spent actually computing
@@ -214,12 +216,4 @@ func ResetCaches() {
 	kernelBatches.Store(0)
 	kernelBatchKeys.Store(0)
 	kernelSingles.Store(0)
-}
-
-// ResetGraphCache is the historical name of ResetCaches, kept as a wrapper.
-// It clears the estimate cache too: estimates are derived from cached
-// degree sequences, so clearing one layer but not the other would let a
-// benchmark label a half-warm measurement "cold".
-func ResetGraphCache() {
-	ResetCaches()
 }

@@ -17,9 +17,9 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"dmlscale/internal/asyncgd"
@@ -400,7 +400,7 @@ func materialized(build func(GraphSpec) (*graph.Graph, error)) graphEntry {
 
 // graphFamilies is THE graph-family registry — the only name→generator
 // switch in the module. The dns and power-law builders recurse through the
-// cached GraphDegrees, so the map is filled in init to break the
+// cached GraphDegreesCtx, so the map is filled in init to break the
 // initialization cycle.
 var graphFamilies map[string]graphEntry
 
@@ -411,9 +411,9 @@ func init() {
 				return graph.ScaledDNSGraph(s.Vertices).Degrees(s.Seed)
 			},
 			build: func(s GraphSpec) (*graph.Graph, error) {
-				// GraphDegrees, not the raw generator: materializing a cached
+				// GraphDegreesCtx, not the raw generator: materializing a cached
 				// spec reuses its cached degree sequence.
-				degrees, err := GraphDegrees(s)
+				degrees, err := GraphDegreesCtx(context.Background(), s)
 				if err != nil {
 					return nil, err
 				}
@@ -425,7 +425,7 @@ func init() {
 				return graph.PowerLawDegrees(s.Vertices, s.Edges, s.MaxDegree, s.Seed)
 			},
 			build: func(s GraphSpec) (*graph.Graph, error) {
-				degrees, err := GraphDegrees(s)
+				degrees, err := GraphDegreesCtx(context.Background(), s)
 				if err != nil {
 					return nil, err
 				}
@@ -465,20 +465,14 @@ func validateGraph(s GraphSpec) error {
 	return nil
 }
 
-// GraphDegrees generates the degree sequence of the described graph — all
-// the paper's graph-inference model needs. Results are cached by the full
-// spec in a bounded single-flight LRU (see cache.go), so a sweep grid whose
-// cells share one graph generates it once; the returned slice is shared
-// with every other caller of the same spec and must be treated as
-// read-only.
-func GraphDegrees(s GraphSpec) ([]int32, error) {
-	return GraphDegreesCtx(context.Background(), s)
-}
-
-// GraphDegreesCtx is GraphDegrees under a context: a caller waiting on
-// another goroutine's in-flight generation abandons the wait when ctx fires
-// (the generation itself completes and is cached for later callers — see
-// memo.Cache.DoCtx).
+// GraphDegreesCtx generates the degree sequence of the described graph —
+// all the paper's graph-inference model needs. Results are cached by the
+// full spec in a bounded single-flight LRU (see cache.go), so a sweep grid
+// whose cells share one graph generates it once; the returned slice is
+// shared with every other caller of the same spec and must be treated as
+// read-only. A caller waiting on another goroutine's in-flight generation
+// abandons the wait when ctx fires (the generation itself completes and is
+// cached for later callers — see memo.Cache.DoCtx).
 func GraphDegreesCtx(ctx context.Context, s GraphSpec) ([]int32, error) {
 	if err := validateGraph(s); err != nil {
 		return nil, err
@@ -489,13 +483,13 @@ func GraphDegreesCtx(ctx context.Context, s GraphSpec) ([]int32, error) {
 }
 
 // BuildGraph materializes the described graph for algorithms that need the
-// edges, not just the degrees. Like GraphDegrees it caches by spec; the
+// edges, not just the degrees. Like GraphDegreesCtx it caches by spec; the
 // returned graph is shared and must not be mutated.
 func BuildGraph(s GraphSpec) (*graph.Graph, error) {
 	if err := validateGraph(s); err != nil {
 		return nil, err
 	}
-	return graphCache.Do(s, func() (*graph.Graph, error) {
+	return graphCache.DoCtx(context.Background(), s, func() (*graph.Graph, error) {
 		return graphFamilies[s.Family].build(s)
 	})
 }
@@ -693,15 +687,10 @@ type Family struct {
 	Name string
 	// Description is a one-line summary for catalogs and CLI help.
 	Description string
-	// Build constructs the core model for a validated spec.
-	Build func(name string, spec WorkloadSpec, node hardware.Node, protocol comm.Model) (core.Model, error)
-	// BuildCtx, when non-nil, supersedes Build for context-aware callers:
-	// it binds the evaluation context into the model so construction- and
-	// evaluation-time kernel work (degree generation, Monte-Carlo
-	// estimation) observes cancellation. Families whose models are pure
-	// closed-form leave it nil — their Build is instantaneous and their
-	// models never block.
-	BuildCtx func(ctx context.Context, name string, spec WorkloadSpec, node hardware.Node, protocol comm.Model) (core.Model, error)
+	// Build constructs the core model for a validated spec. Only the graph
+	// families use ctx and workers: they price that axis at build (see
+	// GraphInferenceModel); the rest return closed forms.
+	Build func(ctx context.Context, name string, spec WorkloadSpec, node hardware.Node, protocol comm.Model, workers []int) (core.Model, error)
 	// Iteration builds the per-iteration hook convergence-aware planning
 	// composes with an iteration rule. Nil for families with no
 	// iteration/batch notion (the graph-inference families), where the
@@ -733,7 +722,7 @@ var families = map[string]Family{
 	"gd-strong": {
 		Name:        "gd-strong",
 		Description: "strong-scaling gradient descent: t = C·S/(F·n) + t_cm(W, n)",
-		Build: func(name string, spec WorkloadSpec, node hardware.Node, protocol comm.Model) (core.Model, error) {
+		Build: func(_ context.Context, name string, spec WorkloadSpec, node hardware.Node, protocol comm.Model, _ []int) (core.Model, error) {
 			w, err := gdWorkload(name, spec)
 			if err != nil {
 				return core.Model{}, err
@@ -776,7 +765,7 @@ var families = map[string]Family{
 	"gd-weak": {
 		Name:        "gd-weak",
 		Description: "weak-scaling gradient descent: fixed per-worker batch, per-instance time",
-		Build: func(name string, spec WorkloadSpec, node hardware.Node, protocol comm.Model) (core.Model, error) {
+		Build: func(_ context.Context, name string, spec WorkloadSpec, node hardware.Node, protocol comm.Model, _ []int) (core.Model, error) {
 			w, err := gdWorkload(name, spec)
 			if err != nil {
 				return core.Model{}, err
@@ -826,23 +815,17 @@ var families = map[string]Family{
 	"graph-inference": {
 		Name:        "graph-inference",
 		Description: "graphical-model inference: t_cp ∝ Monte-Carlo maxᵢEᵢ · ops/edge",
-		Build: func(name string, spec WorkloadSpec, node hardware.Node, protocol comm.Model) (core.Model, error) {
-			return buildGraphInference(context.Background(), name, spec, node, protocol)
-		},
-		BuildCtx: buildGraphInference,
+		Build:       buildGraphInference,
 	},
 	"mrf": {
 		Name:        "mrf",
 		Description: "pairwise-MRF belief propagation: ops/edge = c(S) = S + 2·(S + S²)",
-		Build: func(name string, spec WorkloadSpec, node hardware.Node, protocol comm.Model) (core.Model, error) {
-			return buildMRF(context.Background(), name, spec, node, protocol)
-		},
-		BuildCtx: buildMRF,
+		Build:       buildMRF,
 	},
 	"async-gd": {
 		Name:        "async-gd",
 		Description: "asynchronous gradient descent: pipelined updates, staleness-penalized speedup",
-		Build: func(name string, spec WorkloadSpec, node hardware.Node, protocol comm.Model) (core.Model, error) {
+		Build: func(_ context.Context, name string, spec WorkloadSpec, node hardware.Node, protocol comm.Model, _ []int) (core.Model, error) {
 			m, err := asyncModel(name, spec, node, protocol)
 			if err != nil {
 				return core.Model{}, err
@@ -961,15 +944,15 @@ func gdWorkload(name string, spec WorkloadSpec) (gd.Workload, error) {
 }
 
 // buildGraphInference is the graph-inference family's model constructor.
-func buildGraphInference(ctx context.Context, name string, spec WorkloadSpec, node hardware.Node, protocol comm.Model) (core.Model, error) {
+func buildGraphInference(ctx context.Context, name string, spec WorkloadSpec, node hardware.Node, protocol comm.Model, workers []int) (core.Model, error) {
 	if spec.OpsPerEdge <= 0 {
 		return core.Model{}, fmt.Errorf("registry: family graph-inference: ops_per_edge must be positive, got %g", spec.OpsPerEdge)
 	}
-	return graphModel(ctx, name, spec, spec.OpsPerEdge, node, protocol)
+	return graphModel(ctx, name, spec, spec.OpsPerEdge, node, protocol, workers)
 }
 
 // buildMRF is the mrf family's model constructor.
-func buildMRF(ctx context.Context, name string, spec WorkloadSpec, node hardware.Node, protocol comm.Model) (core.Model, error) {
+func buildMRF(ctx context.Context, name string, spec WorkloadSpec, node hardware.Node, protocol comm.Model, workers []int) (core.Model, error) {
 	states := spec.States
 	if states == 0 {
 		states = 2
@@ -977,14 +960,14 @@ func buildMRF(ctx context.Context, name string, spec WorkloadSpec, node hardware
 	if states < 2 {
 		return core.Model{}, fmt.Errorf("registry: family mrf: states %d < 2", states)
 	}
-	return graphModel(ctx, name, spec, bp.OpsPerEdge(states), node, protocol)
+	return graphModel(ctx, name, spec, bp.OpsPerEdge(states), node, protocol, workers)
 }
 
 // graphModel builds the §IV-B inference model for the two graph families:
-// computation from the memoized Monte-Carlo maxᵢEᵢ estimate, communication
-// from the protocol moving every vertex's S-state belief (zero under the
-// paper's shared-memory assumption).
-func graphModel(ctx context.Context, name string, spec WorkloadSpec, opsPerEdge float64, node hardware.Node, protocol comm.Model) (core.Model, error) {
+// computation from the memoized Monte-Carlo maxᵢEᵢ estimates of the worker
+// axis, communication from the protocol moving every vertex's S-state
+// belief (zero under the paper's shared-memory assumption).
+func graphModel(ctx context.Context, name string, spec WorkloadSpec, opsPerEdge float64, node hardware.Node, protocol comm.Model, workers []int) (core.Model, error) {
 	if spec.Graph == nil {
 		return core.Model{}, fmt.Errorf("registry: workload %q: graph families need a graph spec", name)
 	}
@@ -999,7 +982,7 @@ func graphModel(ctx context.Context, name string, spec WorkloadSpec, opsPerEdge 
 	if err != nil {
 		return core.Model{}, err
 	}
-	model, err := GraphInferenceModelCtx(ctx, name, degrees, opsPerEdge, node.EffectiveFlops(), trials, spec.Seed)
+	model, err := GraphInferenceModel(ctx, name, degrees, opsPerEdge, node.EffectiveFlops(), trials, spec.Seed, workers)
 	if err != nil {
 		return core.Model{}, err
 	}
@@ -1022,41 +1005,16 @@ func graphModel(ctx context.Context, name string, spec WorkloadSpec, opsPerEdge 
 
 // GraphInferenceModel builds the paper's graphical-model inference model
 // (§IV-B): computation proportional to the Monte-Carlo estimate of the
-// maximum per-worker edge count for the given degree sequence. The
-// estimates come from the process-wide kernel cache (see cache.go), keyed
-// by (degree-sequence fingerprint, worker count, trials, seed), so
-// identical estimates are computed exactly once across all model instances,
-// sweep cells, suites and planner probes — single-flight, with the
-// Monte-Carlo trials behind a fresh estimate sharding across the shared
-// parallelism budget. Each trial draws from a partition.TrialSeed stream
-// hashed from (seed, trial) alone — common random numbers across worker
-// counts — so a whole worker set can be filled from one batched RNG pass
-// (see WithKernelWorkerSet) and the model output is bit-identical at any
-// parallelism, batched or not. Degenerate inputs are rejected here
-// rather than surfacing as infinite speedups later; the one failure left at
-// evaluation time — a non-positive worker count passed straight to
-// Model.Time — panics with the estimator's error instead of silently
-// pricing the point at +Inf, and the suite/planner evaluators convert that
-// panic into the cell's error.
-//
-// The degrees slice is fingerprinted once, at construction, and sampled
-// live at evaluation: the caller must not mutate it afterwards (the slices
-// GraphDegrees returns are shared read-only already), or the shared cache
-// could be poisoned with estimates keyed under the original contents.
-func GraphInferenceModel(name string, degrees []int32, opsPerEdge float64, f units.Flops, trials int, seed int64) (core.Model, error) {
-	return GraphInferenceModelCtx(context.Background(), name, degrees, opsPerEdge, f, trials, seed)
-}
-
-// GraphInferenceModelCtx is GraphInferenceModel with the evaluation context
-// bound into the model at construction: Model.Time is context-blind, so the
-// kernel closure captures ctx and surfaces cancellation the same way it
-// surfaces estimator errors — a panic carrying the (wrapped) context error,
-// which the suite/planner evaluators unwrap into the cell's cancelled
-// result. Cancellation reaches both the Monte-Carlo trial loop (checked
-// between trials) and waits on another goroutine's in-flight kernel; a
-// cancelled kernel is never cached, so the next un-cancelled caller
-// recomputes cleanly.
-func GraphInferenceModelCtx(ctx context.Context, name string, degrees []int32, opsPerEdge float64, f units.Flops, trials int, seed int64) (core.Model, error) {
+// maximum per-worker edge count for the given degree sequence, priced at
+// build over the worker axis — workers plus n = 1, the speedup base. The
+// estimates come from the process-wide kernel cache (see cache.go), whose
+// missing keys fill in one common-random-numbers pass, so each is computed
+// exactly once per process and is bit-identical at any parallelism and in
+// any axis. ctx governs the build; a kernel failure or cancellation returns
+// as an error (wrapping ctx's) and caches nothing. The model's time
+// functions are lookups: a worker count outside the axis is a programmer
+// error and panics. degrees is read only during the build.
+func GraphInferenceModel(ctx context.Context, name string, degrees []int32, opsPerEdge float64, f units.Flops, trials int, seed int64, workers []int) (core.Model, error) {
 	if len(degrees) == 0 {
 		return core.Model{}, fmt.Errorf("registry: graph inference %q: empty degree sequence", name)
 	}
@@ -1069,170 +1027,97 @@ func GraphInferenceModelCtx(ctx context.Context, name string, degrees []int32, o
 	if trials < 1 {
 		return core.Model{}, fmt.Errorf("registry: graph inference %q: trials %d < 1", name, trials)
 	}
-	fnv, mix := memo.HashInt32s(degrees)
-	keyFor := func(n int) estimateKey {
-		return estimateKey{fnv: fnv, mix: mix, vertices: len(degrees), workers: n, trials: trials, seed: seed}
+	axis := append([]int{1}, workers...)
+	slices.Sort(axis)
+	axis = slices.Compact(axis)
+	if axis[0] < 1 {
+		return core.Model{}, fmt.Errorf("registry: graph inference %q: worker count %d < 1", name, axis[0])
 	}
-	// The batch set is the full worker axis the evaluation spine announced
-	// via WithKernelWorkerSet (scenario.ModelCtx sets it to the curve's
-	// 1..MaxN range). The first sampled point inside the set fills every
-	// point's estimate from one common-random-numbers kernel pass; points
-	// outside the set — and models built without a hint — compute one key
-	// at a time, exactly as before. Either path yields bit-identical
-	// estimates; the hint only changes how many RNG passes they cost.
-	batchSet := KernelWorkerSet(ctx)
-	inBatch := make(map[int]bool, len(batchSet))
-	for _, w := range batchSet {
-		inBatch[w] = true
+	maxEdges, err := estimateAxis(ctx, degrees, axis, trials, seed)
+	if err != nil {
+		return core.Model{}, fmt.Errorf("registry: graph inference %q: %w", name, err)
 	}
-	var (
-		batchOnce sync.Once
-		batchVals map[int]float64
-		batchErr  error
-	)
-	fillBatch := func() {
-		keys := make([]estimateKey, len(batchSet))
-		for i, w := range batchSet {
-			keys[i] = keyFor(w)
-		}
-		vals, err := estimateCache.DoBatchCtx(ctx, keys, func(missing []estimateKey) ([]float64, error) {
-			// Only cache misses reach this closure — one batched pass for
-			// however many of the set's keys are still unfilled; the span
-			// and the process-wide compute-time accumulator measure actual
-			// kernel work. missing preserves the set's ascending order.
-			kstart := time.Now()
-			kctx, kspan := obs.Start(ctx, "kernel")
-			kspan.SetInt("batch", int64(len(missing)))
-			kspan.SetInt("workers", int64(missing[len(missing)-1].workers))
-			kspan.SetInt("trials", int64(trials))
-			kspan.SetInt("vertices", int64(len(degrees)))
-			defer func() {
-				kspan.End()
-				kernelComputeNanos.Add(int64(time.Since(kstart)))
-			}()
-			wcounts := make([]int, len(missing))
-			for i, k := range missing {
-				wcounts[i] = k.workers
-			}
-			// Transient faults retry the whole batch inside its single
-			// fill, on the same shared retry budget as single computes.
-			var ests []partition.Estimate
-			retryKey := memo.Mix(fnv, mix, uint64(len(degrees)), uint64(trials), uint64(seed))
-			err := resilience.Default().Do(kctx, retryKey, func(actx context.Context, attempt int) error {
-				// The fault hook fires per key — a chaos hook targeting one
-				// worker count sees its coordinates inside a batch too —
-				// and every key sees every batch attempt (first fault wins,
-				// but the sweep continues), so "fail N times then succeed"
-				// scripts behave the same batched as single: one batched
-				// kernel invocation is one attempt at every coordinate.
-				var faultErr error
-				for _, k := range missing {
-					if err := injectKernelFault(actx, k.call()); err != nil && faultErr == nil {
-						faultErr = err
-					}
-				}
-				if faultErr != nil {
-					return faultErr
-				}
-				es, err := partition.MonteCarloMaxEdgesBatch(actx, degrees, wcounts, trials, seed)
-				if err != nil {
-					return err
-				}
-				ests = es
-				return nil
-			})
-			if err != nil {
-				kspan.SetError(err)
-				return nil, err
-			}
-			out := make([]float64, len(missing))
-			for i, k := range missing {
-				out[i] = ests[i].MaxEdges
-				// One observation per key, never per batch: the checkpoint
-				// journal must replay estimate by estimate (SeedEstimate).
-				observeKernel(k.call(), out[i])
-			}
-			kernelBatches.Add(1)
-			kernelBatchKeys.Add(int64(len(missing)))
-			return out, nil
-		})
-		if err != nil {
-			batchErr = err
-			return
-		}
-		m := make(map[int]float64, len(batchSet))
-		for i, w := range batchSet {
-			m[w] = vals[i]
-		}
-		batchVals = m
-	}
-	maxEdges := func(n int) float64 {
-		// Guard before touching the cache so a misuse cannot occupy a slot.
-		if n < 1 {
-			panic(fmt.Errorf("registry: graph inference %q: worker count %d < 1", name, n))
-		}
-		if len(batchSet) > 1 && inBatch[n] {
-			// One DoBatch per model instance (sync.Once): the fill puts the
-			// whole set in a local snapshot, so the other curve points ask
-			// the shared cache nothing at all. A failed fill fails this
-			// model instance only — a cell retry rebuilds the model and
-			// refills; the cache itself dropped the failed entries already.
-			batchOnce.Do(fillBatch)
-			if batchErr != nil {
-				panic(fmt.Errorf("registry: graph inference %q: %w", name, batchErr))
-			}
-			return batchVals[n]
-		}
-		key := keyFor(n)
-		call := key.call()
-		v, err := estimateCache.DoCtx(ctx, key, func() (float64, error) {
-			// Only cache misses reach this closure, so the span and the
-			// process-wide compute-time accumulator measure actual kernel
-			// work — hits and single-flight waits cost neither.
-			kstart := time.Now()
-			kctx, kspan := obs.Start(ctx, "kernel")
-			kspan.SetInt("workers", int64(n))
-			kspan.SetInt("trials", int64(trials))
-			kspan.SetInt("vertices", int64(len(degrees)))
-			defer func() {
-				kspan.End()
-				kernelComputeNanos.Add(int64(time.Since(kstart)))
-			}()
-			// Transient faults retry here, inside the single-flight entry,
-			// so every waiter coalesced on this key rides the retries
-			// instead of spawning its own — a failing-cell storm cannot
-			// amplify kernel load past the shared retry budget.
-			var maxE float64
-			err := resilience.Default().Do(kctx, key.hash(), func(actx context.Context, attempt int) error {
-				if err := injectKernelFault(actx, call); err != nil {
-					return err
-				}
-				est, err := partition.MonteCarloMaxEdgesCtx(actx, degrees, n, trials, seed)
-				if err != nil {
-					return err
-				}
-				maxE = est.MaxEdges
-				return nil
-			})
-			if err != nil {
-				kspan.SetError(err)
-				return 0, err
-			}
-			observeKernel(call, maxE)
-			kernelSingles.Add(1)
-			return maxE, nil
-		})
-		if err != nil {
-			panic(fmt.Errorf("registry: graph inference %q: %w", name, err))
-		}
-		return v
+	times := make([]units.Seconds, len(axis))
+	for i, e := range maxEdges {
+		times[i] = units.ComputeTime(e*opsPerEdge, f)
 	}
 	return core.Model{
 		Name: name,
 		Computation: func(n int) units.Seconds {
-			return units.ComputeTime(maxEdges(n)*opsPerEdge, f)
+			i, ok := slices.BinarySearch(axis, n)
+			if !ok {
+				panic(fmt.Sprintf("registry: graph inference %q: worker count %d was not priced at build (axis %d..%d); pass it in workers",
+					name, n, axis[0], axis[len(axis)-1]))
+			}
+			return times[i]
 		},
 	}, nil
+}
+
+// estimateAxis returns the maxᵢEᵢ estimate of every worker count in the
+// ascending axis. Only cache misses reach the kernel pass, so its span and
+// the compute-time accumulator measure actual kernel work; faults inject
+// per key, transient ones retry the whole pass on the shared retry budget,
+// and each estimate is observed once, for the checkpoint journal.
+func estimateAxis(ctx context.Context, degrees []int32, axis []int, trials int, seed int64) ([]float64, error) {
+	fnv, mix := memo.HashInt32s(degrees)
+	keys := make([]estimateKey, len(axis))
+	for i, n := range axis {
+		keys[i] = estimateKey{fnv: fnv, mix: mix, vertices: len(degrees), workers: n, trials: trials, seed: seed}
+	}
+	return estimateCache.DoBatchCtx(ctx, keys, func(missing []estimateKey) ([]float64, error) {
+		kstart := time.Now()
+		kctx, kspan := obs.Start(ctx, "kernel")
+		kspan.SetInt("batch", int64(len(missing)))
+		kspan.SetInt("workers", int64(missing[len(missing)-1].workers))
+		kspan.SetInt("trials", int64(trials))
+		kspan.SetInt("vertices", int64(len(degrees)))
+		defer func() {
+			kspan.End()
+			kernelComputeNanos.Add(int64(time.Since(kstart)))
+		}()
+		wcounts := make([]int, len(missing))
+		for i, k := range missing {
+			wcounts[i] = k.workers
+		}
+		var ests []partition.Estimate
+		retryKey := memo.Mix(fnv, mix, uint64(len(degrees)), uint64(trials), uint64(seed))
+		err := resilience.Default().Do(kctx, retryKey, func(actx context.Context, attempt int) error {
+			// Every key sees every attempt (the first fault wins), so a
+			// hook scripted per worker count behaves the same in any pass.
+			var faultErr error
+			for _, k := range missing {
+				if err := injectKernelFault(actx, k.call()); err != nil && faultErr == nil {
+					faultErr = err
+				}
+			}
+			if faultErr != nil {
+				return faultErr
+			}
+			es, err := partition.MonteCarloMaxEdgesBatch(actx, degrees, wcounts, trials, seed)
+			if err != nil {
+				return err
+			}
+			ests = es
+			return nil
+		})
+		if err != nil {
+			kspan.SetError(err)
+			return nil, err
+		}
+		out := make([]float64, len(missing))
+		for i, k := range missing {
+			out[i] = ests[i].MaxEdges
+			observeKernel(k.call(), out[i])
+		}
+		if len(missing) == 1 {
+			kernelSingles.Add(1)
+		} else {
+			kernelBatches.Add(1)
+			kernelBatchKeys.Add(int64(len(missing)))
+		}
+		return out, nil
+	})
 }
 
 // CanonicalFamily resolves a family name or alias to its registry key.
@@ -1262,27 +1147,14 @@ func Families() []string {
 
 // BuildModel constructs the core model one (family, workload, hardware,
 // protocol) point describes — the single construction path behind the
-// scenario schema, the CLIs and the experiment harness.
-func BuildModel(family, name string, spec WorkloadSpec, node hardware.Node, protocol comm.Model) (core.Model, error) {
+// scenario schema, the CLIs and the experiment harness — for the worker
+// axis workers (see Family.Build).
+func BuildModel(ctx context.Context, family, name string, spec WorkloadSpec, node hardware.Node, protocol comm.Model, workers []int) (core.Model, error) {
 	f, err := LookupFamily(family)
 	if err != nil {
 		return core.Model{}, err
 	}
-	return f.Build(name, spec, node, protocol)
-}
-
-// BuildModelCtx is BuildModel with the evaluation context bound into the
-// model (see Family.BuildCtx); families without kernel work fall back to
-// their context-blind Build.
-func BuildModelCtx(ctx context.Context, family, name string, spec WorkloadSpec, node hardware.Node, protocol comm.Model) (core.Model, error) {
-	f, err := LookupFamily(family)
-	if err != nil {
-		return core.Model{}, err
-	}
-	if f.BuildCtx != nil {
-		return f.BuildCtx(ctx, name, spec, node, protocol)
-	}
-	return f.Build(name, spec, node, protocol)
+	return f.Build(ctx, name, spec, node, protocol, workers)
 }
 
 // BuildIterationModel constructs the per-iteration planning hook of a

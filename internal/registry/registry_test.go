@@ -1,6 +1,7 @@
 package registry
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"runtime"
@@ -150,7 +151,7 @@ func TestGraphFamilies(t *testing.T) {
 			spec.Edges = 1024
 			spec.MaxDegree = 32
 		}
-		degrees, err := GraphDegrees(spec)
+		degrees, err := GraphDegreesCtx(context.Background(), spec)
 		if err != nil {
 			t.Errorf("%s degrees: %v", family, err)
 			continue
@@ -167,13 +168,13 @@ func TestGraphFamilies(t *testing.T) {
 			t.Errorf("%s: degenerate graph V=%d E=%d", family, g.NumVertices(), g.NumEdges())
 		}
 	}
-	if _, err := GraphDegrees(GraphSpec{Family: "moebius", Vertices: 8}); err == nil {
+	if _, err := GraphDegreesCtx(context.Background(), GraphSpec{Family: "moebius", Vertices: 8}); err == nil {
 		t.Error("unknown family accepted")
 	}
-	if _, err := GraphDegrees(GraphSpec{Family: "grid", Vertices: 0}); err == nil {
+	if _, err := GraphDegreesCtx(context.Background(), GraphSpec{Family: "grid", Vertices: 0}); err == nil {
 		t.Error("zero vertices accepted")
 	}
-	if _, err := GraphDegrees(GraphSpec{Family: "grid", Vertices: maxGraphVertices + 1}); err == nil {
+	if _, err := GraphDegreesCtx(context.Background(), GraphSpec{Family: "grid", Vertices: maxGraphVertices + 1}); err == nil {
 		t.Error("oversized graph accepted")
 	}
 }
@@ -257,7 +258,7 @@ func TestBuildModelEveryFamily(t *testing.T) {
 		{"async-gd", asyncSpec},
 	}
 	for _, c := range cases {
-		model, err := BuildModel(c.family, c.family+" case", c.spec, node, protocol)
+		model, err := BuildModel(context.Background(), c.family, c.family+" case", c.spec, node, protocol, core.Range(1, 8))
 		if err != nil {
 			t.Errorf("%s: %v", c.family, err)
 			continue
@@ -279,9 +280,9 @@ func TestBuildModelGoldenGDStrong(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	model, err := BuildModel("gd-strong", "fig2", WorkloadSpec{
+	model, err := BuildModel(context.Background(), "gd-strong", "fig2", WorkloadSpec{
 		FlopsPerExample: 6 * 12e6, BatchSize: 60000, Parameters: 12e6, PrecisionBits: 64,
-	}, node, protocol)
+	}, node, protocol, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,9 +300,9 @@ func TestArchitectureFillsWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	model, err := BuildModel("gd-strong", "from catalog", WorkloadSpec{
+	model, err := BuildModel(context.Background(), "gd-strong", "from catalog", WorkloadSpec{
 		Architecture: "fc-mnist", BatchSize: 60000, PrecisionBits: 64,
-	}, node, protocol)
+	}, node, protocol, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,52 +336,66 @@ func TestBuildModelRejectsBadSpecs(t *testing.T) {
 		{"async-gd", WorkloadSpec{FlopsPerExample: 1, BatchSize: 1, Parameters: 1, ConvergencePenalty: -1}},
 	}
 	for i, c := range cases {
-		if _, err := BuildModel(c.family, "bad", c.spec, node, protocol); err == nil {
+		if _, err := BuildModel(context.Background(), c.family, "bad", c.spec, node, protocol, core.Range(1, 4)); err == nil {
 			t.Errorf("case %d (%s): bad spec accepted", i, c.family)
 		}
 	}
 }
 
 func TestGraphInferenceModelConcurrentMemo(t *testing.T) {
+	ResetCaches()
+	defer ResetCaches()
 	degrees := make([]int32, 5000)
 	for i := range degrees {
 		degrees[i] = int32(1 + i%7)
 	}
-	model, err := GraphInferenceModel("race", degrees, 14, 1e9, 2, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Hammer the memo from many goroutines; run with -race to prove the
-	// cache is guarded.
+	// Hammer the memo with concurrent builds over overlapping axes — the
+	// shape of a sweep whose cells share a graph; run with -race to prove
+	// the cache is guarded and the single-flight fills agree.
 	var wg sync.WaitGroup
 	results := make([]float64, 32)
 	for g := 0; g < 32; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			results[g] = model.Speedup(1 + g%8)
+			n := 1 + g%8
+			model, err := GraphInferenceModel(context.Background(), "race", degrees, 14, 1e9, 2, 11, core.Range(1, n))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			results[g] = model.Speedup(n)
 		}(g)
 	}
 	wg.Wait()
+	model, err := GraphInferenceModel(context.Background(), "race", degrees, 14, 1e9, 2, 11, core.Range(1, 8))
+	if err != nil {
+		t.Fatal(err)
+	}
 	for g := 0; g < 32; g++ {
 		want := model.Speedup(1 + g%8)
 		if results[g] != want {
 			t.Errorf("goroutine %d: speedup %v, want memoized %v", g, results[g], want)
 		}
 	}
+	if st := SnapshotCaches().Estimates; st.Misses != 8 {
+		t.Errorf("%d estimates computed for 8 distinct worker counts", st.Misses)
+	}
 }
 
 func TestGraphInferenceModelRejectsDegenerateInputs(t *testing.T) {
+	bg := context.Background()
 	degrees := []int32{1, 2, 3}
 	cases := []struct {
 		name string
 		err  func() error
 	}{
-		{"empty degrees", func() error { _, err := GraphInferenceModel("x", nil, 14, 1e9, 1, 0); return err }},
-		{"zero ops", func() error { _, err := GraphInferenceModel("x", degrees, 0, 1e9, 1, 0); return err }},
-		{"nan ops", func() error { _, err := GraphInferenceModel("x", degrees, math.NaN(), 1e9, 1, 0); return err }},
-		{"zero flops", func() error { _, err := GraphInferenceModel("x", degrees, 14, 0, 1, 0); return err }},
-		{"zero trials", func() error { _, err := GraphInferenceModel("x", degrees, 14, 1e9, 0, 0); return err }},
+		{"empty degrees", func() error { _, err := GraphInferenceModel(bg, "x", nil, 14, 1e9, 1, 0, nil); return err }},
+		{"zero ops", func() error { _, err := GraphInferenceModel(bg, "x", degrees, 0, 1e9, 1, 0, nil); return err }},
+		{"nan ops", func() error { _, err := GraphInferenceModel(bg, "x", degrees, math.NaN(), 1e9, 1, 0, nil); return err }},
+		{"zero flops", func() error { _, err := GraphInferenceModel(bg, "x", degrees, 14, 0, 1, 0, nil); return err }},
+		{"zero trials", func() error { _, err := GraphInferenceModel(bg, "x", degrees, 14, 1e9, 0, 0, nil); return err }},
+		{"zero workers", func() error { _, err := GraphInferenceModel(bg, "x", degrees, 14, 1e9, 1, 0, []int{2, 0}); return err }},
 	}
 	for _, c := range cases {
 		if c.err() == nil {
@@ -390,14 +405,14 @@ func TestGraphInferenceModelRejectsDegenerateInputs(t *testing.T) {
 }
 
 func TestGraphCacheReusesGeneration(t *testing.T) {
-	ResetGraphCache()
-	defer ResetGraphCache()
+	ResetCaches()
+	defer ResetCaches()
 	spec := GraphSpec{Family: "dns", Vertices: 4000, Seed: 21}
-	a, err := GraphDegrees(spec)
+	a, err := GraphDegreesCtx(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := GraphDegrees(spec)
+	b, err := GraphDegreesCtx(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,7 +420,7 @@ func TestGraphCacheReusesGeneration(t *testing.T) {
 		t.Error("same spec regenerated its degree sequence instead of hitting the cache")
 	}
 	// A different seed is a different cache key.
-	other, err := GraphDegrees(GraphSpec{Family: "dns", Vertices: 4000, Seed: 22})
+	other, err := GraphDegreesCtx(context.Background(), GraphSpec{Family: "dns", Vertices: 4000, Seed: 22})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -427,8 +442,8 @@ func TestGraphCacheReusesGeneration(t *testing.T) {
 }
 
 func TestGraphCacheConcurrentSingleFlight(t *testing.T) {
-	ResetGraphCache()
-	defer ResetGraphCache()
+	ResetCaches()
+	defer ResetCaches()
 	spec := GraphSpec{Family: "power-law", Vertices: 3000, Edges: 15000, MaxDegree: 500, Seed: 4}
 	var wg sync.WaitGroup
 	results := make([][]int32, 16)
@@ -436,7 +451,7 @@ func TestGraphCacheConcurrentSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			degrees, err := GraphDegrees(spec)
+			degrees, err := GraphDegreesCtx(context.Background(), spec)
 			if err != nil {
 				t.Error(err)
 				return
@@ -456,7 +471,7 @@ func TestGraphCacheConcurrentSingleFlight(t *testing.T) {
 }
 
 func TestGraphInferenceDeterministicAtAnyParallelism(t *testing.T) {
-	degrees, err := GraphDegrees(GraphSpec{Family: "dns", Vertices: 20000, Seed: 13})
+	degrees, err := GraphDegreesCtx(context.Background(), GraphSpec{Family: "dns", Vertices: 20000, Seed: 13})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -466,7 +481,7 @@ func TestGraphInferenceDeterministicAtAnyParallelism(t *testing.T) {
 	}
 	curve := func(parallelism int) []float64 {
 		core.SetParallelism(parallelism)
-		model, err := GraphInferenceModel("determinism", degrees, 14, 1e9, 5, 99)
+		model, err := GraphInferenceModel(context.Background(), "determinism", degrees, 14, 1e9, 5, 99, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -494,14 +509,14 @@ func TestGraphInferenceDeterministicAtAnyParallelism(t *testing.T) {
 // the cap evicts the least recently used spec (which then regenerates) while
 // a recently touched spec stays cached.
 func TestGraphCacheEvictsLRU(t *testing.T) {
-	ResetGraphCache()
-	defer ResetGraphCache()
+	ResetCaches()
+	defer ResetCaches()
 	spec := func(i int) GraphSpec {
 		return GraphSpec{Family: "cycle", Vertices: 16 + i}
 	}
 	first := make([][]int32, maxGraphCacheEntries)
 	for i := 0; i < maxGraphCacheEntries; i++ {
-		degrees, err := GraphDegrees(spec(i))
+		degrees, err := GraphDegreesCtx(context.Background(), spec(i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -511,20 +526,20 @@ func TestGraphCacheEvictsLRU(t *testing.T) {
 		t.Fatalf("cache holds %d specs after filling, cap is %d", n, maxGraphCacheEntries)
 	}
 	// Touch spec 0 so spec 1 becomes the LRU, then overflow by one.
-	if degrees, err := GraphDegrees(spec(0)); err != nil || &degrees[0] != &first[0][0] {
+	if degrees, err := GraphDegreesCtx(context.Background(), spec(0)); err != nil || &degrees[0] != &first[0][0] {
 		t.Fatalf("touching spec 0 regenerated it (err %v)", err)
 	}
-	if _, err := GraphDegrees(spec(maxGraphCacheEntries)); err != nil {
+	if _, err := GraphDegreesCtx(context.Background(), spec(maxGraphCacheEntries)); err != nil {
 		t.Fatal(err)
 	}
 	if n := degreeCache.Len(); n != maxGraphCacheEntries {
 		t.Fatalf("cache holds %d specs after overflow, cap is %d", n, maxGraphCacheEntries)
 	}
 	// Spec 0 survived (recently used); spec 1 was evicted and regenerates.
-	if degrees, err := GraphDegrees(spec(0)); err != nil || &degrees[0] != &first[0][0] {
+	if degrees, err := GraphDegreesCtx(context.Background(), spec(0)); err != nil || &degrees[0] != &first[0][0] {
 		t.Errorf("recently used spec was evicted (err %v)", err)
 	}
-	if degrees, err := GraphDegrees(spec(1)); err != nil || &degrees[0] == &first[1][0] {
+	if degrees, err := GraphDegreesCtx(context.Background(), spec(1)); err != nil || &degrees[0] == &first[1][0] {
 		t.Errorf("LRU spec not evicted: cache returned the original slice (err %v)", err)
 	}
 }
@@ -536,28 +551,22 @@ func TestGraphCacheEvictsLRU(t *testing.T) {
 func TestEstimateCacheComputesEachKernelOnce(t *testing.T) {
 	ResetCaches()
 	defer ResetCaches()
-	degrees, err := GraphDegrees(GraphSpec{Family: "dns", Vertices: 2000, Seed: 5})
+	degrees, err := GraphDegreesCtx(context.Background(), GraphSpec{Family: "dns", Vertices: 2000, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sample := func(m core.Model) {
-		for n := 1; n <= 8; n++ {
-			m.Time(n)
-		}
-	}
-	m1, err := GraphInferenceModel("one", degrees, 14, 1e9, 3, 9)
+	workers := core.Range(1, 8)
+	m1, err := GraphInferenceModel(context.Background(), "one", degrees, 14, 1e9, 3, 9, workers)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sample(m1)
 	if st := SnapshotCaches().Estimates; st.Misses != 8 {
 		t.Fatalf("first model: %d misses, want 8 (one per worker count)", st.Misses)
 	}
-	m2, err := GraphInferenceModel("two", degrees, 14, 1e9, 3, 9)
+	m2, err := GraphInferenceModel(context.Background(), "two", degrees, 14, 1e9, 3, 9, workers)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sample(m2)
 	st := SnapshotCaches().Estimates
 	if st.Misses != 8 {
 		t.Errorf("second identical model re-estimated: %d misses, want 8", st.Misses)
@@ -566,11 +575,9 @@ func TestEstimateCacheComputesEachKernelOnce(t *testing.T) {
 		t.Errorf("second identical model hit the cache %d times, want ≥ 8", st.Hits)
 	}
 	// A different seed is a different kernel.
-	m3, err := GraphInferenceModel("three", degrees, 14, 1e9, 3, 10)
-	if err != nil {
+	if _, err := GraphInferenceModel(context.Background(), "three", degrees, 14, 1e9, 3, 10, workers); err != nil {
 		t.Fatal(err)
 	}
-	sample(m3)
 	if st := SnapshotCaches().Estimates; st.Misses != 16 {
 		t.Errorf("distinct seed shared estimates: %d misses, want 16", st.Misses)
 	}
@@ -583,10 +590,17 @@ func TestEstimateCacheComputesEachKernelOnce(t *testing.T) {
 }
 
 // TestGraphInferenceModelPropagatesEstimatorErrors: a worker count the
-// estimator rejects must surface as an error (a panic the suite evaluators
-// convert), never as a silent +Inf-time point.
+// estimator rejects surfaces as a build error, never as a silent
+// +Inf-time point, and sampling a count the build did not price is a
+// programmer error that panics with an explanation — which the suite
+// evaluator isolates as that job's error.
 func TestGraphInferenceModelPropagatesEstimatorErrors(t *testing.T) {
-	model, err := GraphInferenceModel("guard", []int32{1, 2, 3, 2}, 14, 1e9, 1, 0)
+	degrees := []int32{1, 2, 3, 2}
+	if _, err := GraphInferenceModel(context.Background(), "guard", degrees, 14, 1e9, 1, 0, []int{0, 1}); err == nil ||
+		!strings.Contains(err.Error(), "worker count 0 < 1") {
+		t.Errorf("worker count 0 accepted or unexplained: %v", err)
+	}
+	model, err := GraphInferenceModel(context.Background(), "guard", degrees, 14, 1e9, 1, 0, []int{1, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -594,43 +608,37 @@ func TestGraphInferenceModelPropagatesEstimatorErrors(t *testing.T) {
 		defer func() {
 			r := recover()
 			if r == nil {
-				t.Error("Time(0) returned instead of propagating the estimator error")
+				t.Error("Time(3) returned for an unpriced worker count")
 				return
 			}
-			if !strings.Contains(fmt.Sprint(r), "worker count 0 < 1") {
+			if !strings.Contains(fmt.Sprint(r), "worker count 3 was not priced") {
 				t.Errorf("panic %v does not explain the misuse", r)
 			}
 		}()
-		if v := model.Time(0); math.IsInf(float64(v), 1) {
-			t.Error("Time(0) silently produced an infinite-time point")
-		}
+		model.Time(3)
 	}()
-	// The suite evaluator turns the panic into a per-job error. Curve
-	// validation rejects non-positive worker counts before sampling, so the
-	// misuse is driven from inside a wrapping model's time function —
-	// exactly where a buggy library caller would trip it.
-	misuse := core.Model{
-		Name:        "misuse",
-		Computation: func(n int) units.Seconds { return model.Time(n - 1) },
+	evaluate := func(workers []int) core.JobResult {
+		var res core.JobResult
+		done := false
+		core.EvaluateStreamCtx(context.Background(), func() (core.StreamJob, bool) {
+			if done {
+				return core.StreamJob{}, false
+			}
+			done = true
+			return core.StreamJob{Job: core.Job{
+				Name:    "guard",
+				Build:   func(context.Context) (core.Model, error) { return model, nil },
+				Workers: workers,
+			}}, true
+		}, 1, func(_ int, r core.JobResult) { res = r })
+		return res
 	}
-	res := core.EvaluateAll([]core.Job{{
-		Name:    "misuse",
-		Build:   func() (core.Model, error) { return misuse, nil },
-		Workers: []int{1},
-		Base:    1,
-	}}, 1)
-	if res[0].Err == nil || !strings.Contains(res[0].Err.Error(), "worker count 0 < 1") {
-		t.Errorf("estimator panic not converted into the job's error: %v", res[0].Err)
+	if res := evaluate([]int{1, 2, 3}); res.Err == nil || !strings.Contains(res.Err.Error(), "not priced") {
+		t.Errorf("unpriced sample not converted into the job's error: %v", res.Err)
 	}
-	// Valid worker counts on the same model keep evaluating cleanly.
-	ok := core.EvaluateAll([]core.Job{{
-		Name:    "valid",
-		Build:   func() (core.Model, error) { return model, nil },
-		Workers: []int{1, 2},
-		Base:    1,
-	}}, 1)
-	if ok[0].Err != nil {
-		t.Errorf("valid worker counts failed: %v", ok[0].Err)
+	// The priced worker counts on the same model keep evaluating cleanly.
+	if res := evaluate([]int{1, 2}); res.Err != nil {
+		t.Errorf("priced worker counts failed: %v", res.Err)
 	}
 }
 
@@ -657,7 +665,7 @@ func TestEstimateCacheConcurrentEvictionHammer(t *testing.T) {
 			for s := 0; s < seeds; s++ {
 				seed := int64(g*seeds + s)
 				workers := 1 + s%4
-				model, err := GraphInferenceModel("hammer", degrees, 2, 1e9, 1, seed)
+				model, err := GraphInferenceModel(context.Background(), "hammer", degrees, 2, 1e9, 1, seed, []int{workers})
 				if err != nil {
 					t.Error(err)
 					return
@@ -748,7 +756,7 @@ func TestIterationModels(t *testing.T) {
 	}
 	// Strong scaling: the iteration time is the per-iteration model's own
 	// time and the batch never grows.
-	m, err := BuildModel("gd-strong", "strong", spec, node, protocol)
+	m, err := BuildModel(context.Background(), "gd-strong", "strong", spec, node, protocol, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"strings"
 
 	"dmlscale/internal/registry"
 	"dmlscale/internal/units"
@@ -9,7 +10,7 @@ import (
 
 // MaxStreamCells bounds lazily-iterated suite grids. It is deliberately far
 // above maxSuiteScenarios, the cap on materializing expansion (Expand):
-// streaming consumers (EvaluateSuite, the adaptive planner) hold one cell at
+// streaming consumers (suite evaluation, the adaptive planner) hold one cell at
 // a time, so the guard only has to stop genuinely absurd grids, not
 // production-scale ones.
 const MaxStreamCells = 262144
@@ -224,11 +225,11 @@ type CellSet struct {
 	total    int
 }
 
-// Cells validates the suite exactly like Expand — name, emptiness,
-// objective, worker-bound conflict, explicit duplicate names — and returns
-// its lazy cell view, capped at MaxStreamCells instead of the materializing
-// cap. Sweep-generated names are unique by construction (see disambiguate),
-// so only the explicit list needs a duplicate scan here.
+// Cells validates the suite — name, emptiness, objective, worker-bound
+// conflict, duplicate scenario names — and returns its lazy cell view,
+// capped at MaxStreamCells. Sweep-generated names are unique by
+// construction (see disambiguate), so names are checked among the explicit
+// scenarios and between them and the grid.
 func (s Suite) Cells() (*CellSet, error) {
 	return s.cells(MaxStreamCells)
 }
@@ -247,13 +248,6 @@ func (s Suite) cells(cap int) (*CellSet, error) {
 				cs.explicit[i].MaxWorkers = s.MaxWorkers
 			}
 		}
-		seen := make(map[string]bool, len(cs.explicit))
-		for _, sc := range cs.explicit {
-			if seen[sc.Name] {
-				return nil, fmt.Errorf("scenario: suite %q: duplicate scenario name %q", s.Name, sc.Name)
-			}
-			seen[sc.Name] = true
-		}
 	}
 	cs.total = len(cs.explicit)
 	if s.Sweep != nil {
@@ -267,7 +261,35 @@ func (s Suite) cells(cap int) (*CellSet, error) {
 		cs.grid = g
 		cs.total += g.total
 	}
+	if err := cs.checkNames(s.Name); err != nil {
+		return nil, err
+	}
 	return cs, nil
+}
+
+// checkNames rejects duplicate scenario names: among the explicit
+// scenarios, and between an explicit scenario and a grid cell. Every grid
+// name starts with the sweep base's name, so the grid is walked only when
+// some explicit name carries that prefix.
+func (cs *CellSet) checkNames(suite string) error {
+	seen := make(map[string]bool, len(cs.explicit))
+	clash := false
+	for _, sc := range cs.explicit {
+		if seen[sc.Name] {
+			return fmt.Errorf("scenario: suite %q: duplicate scenario name %q", suite, sc.Name)
+		}
+		seen[sc.Name] = true
+		clash = clash || (cs.grid != nil && strings.HasPrefix(sc.Name, cs.grid.base.Name))
+	}
+	if !clash {
+		return nil
+	}
+	for i := len(cs.explicit); i < cs.total; i++ {
+		if name := cs.At(i).Scenario.Name; seen[name] {
+			return fmt.Errorf("scenario: suite %q: duplicate scenario name %q", suite, name)
+		}
+	}
+	return nil
 }
 
 // validateShape holds the suite-level checks shared by Expand and Cells.
@@ -312,7 +334,7 @@ func (cs *CellSet) At(i int) Cell {
 
 // Next returns a sequential pull iterator over the cells. The returned
 // closure is not safe for concurrent use — streaming evaluators serialize
-// pulls themselves (core.EvaluateStream), which is what keeps cell dedup
+// pulls themselves (core.EvaluateStreamCtx), which is what keeps cell dedup
 // deterministic: the first registrant of a model key is always the
 // lowest-indexed cell.
 func (cs *CellSet) Next() func() (Cell, bool) {

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"strings"
@@ -56,6 +57,35 @@ func TestCellsMatchExpand(t *testing.T) {
 	}
 }
 
+// TestCellsRejectExplicitNamedLikeGridCell: the lazy view every CLI and the
+// server use rejects an explicit scenario named like a grid cell — the
+// example bandwidth sweep plus one explicit scenario reusing a cell's name
+// but describing a different curve would otherwise emit two rows under one
+// name.
+func TestCellsRejectExplicitNamedLikeGridCell(t *testing.T) {
+	s, err := LoadSuite("../../examples/suites/fig2-bandwidth-sweep.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	clash := Fig2()
+	clash.Name = "fully connected ANN, spark, 1 Gbit/s"
+	clash.Protocol = ProtocolSpec{Kind: "linear", BandwidthBitsPerSec: 1e6}
+	s.Scenarios = append(s.Scenarios, clash)
+	for name, view := range map[string]func() error{
+		"Cells":  func() error { _, err := s.Cells(); return err },
+		"Expand": func() error { _, err := s.Expand(); return err },
+	} {
+		if err := view(); err == nil || !strings.Contains(err.Error(), "duplicate scenario name") {
+			t.Errorf("%s accepted an explicit scenario named like a grid cell: %v", name, err)
+		}
+	}
+	// A distinct explicit name next to the same grid is fine.
+	s.Scenarios[len(s.Scenarios)-1].Name = "linear at 1 Mbit/s"
+	if _, err := s.Cells(); err != nil {
+		t.Errorf("distinct explicit name rejected: %v", err)
+	}
+}
+
 // TestCellsStampSweptAxes checks the cells expose the numeric axis values
 // refinement subdivides.
 func TestCellsStampSweptAxes(t *testing.T) {
@@ -86,7 +116,7 @@ func TestCellsStampSweptAxes(t *testing.T) {
 func TestSweepHardwareAxis(t *testing.T) {
 	base := Fig2()
 	base.Name = "hw"
-	scenarios, err := (Sweep{Base: base, Hardware: []string{"", "dl980-core"}}).Expand()
+	scenarios, err := expandSweep(Sweep{Base: base, Hardware: []string{"", "dl980-core"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +132,7 @@ func TestSweepHardwareAxis(t *testing.T) {
 	if scenarios[0].Name == scenarios[1].Name {
 		t.Errorf("hardware cells share the name %q", scenarios[0].Name)
 	}
-	if _, err := (Sweep{Base: base, Hardware: []string{"abacus"}}).Expand(); err == nil {
+	if _, err := expandSweep(Sweep{Base: base, Hardware: []string{"abacus"}}); err == nil {
 		t.Error("unknown preset on the hardware axis expanded")
 	}
 }
@@ -118,7 +148,7 @@ func TestSweepDisambiguatesCollidingNames(t *testing.T) {
 		BandwidthsBitsPerSec: []float64{1e9, 1e9 + 1, 2e9},
 		MaxWorkers:           []int{8, 16},
 	}
-	scenarios, err := sw.Expand()
+	scenarios, err := expandSweep(sw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +174,7 @@ func TestSweepDisambiguatesCollidingNames(t *testing.T) {
 		t.Errorf("%d tagged names (want 4) in %v", tagged, seen)
 	}
 	// Determinism: a second expansion renders the same names.
-	again, err := sw.Expand()
+	again, err := expandSweep(sw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,14 +190,14 @@ func TestSweepDisambiguatesCollidingNames(t *testing.T) {
 // bit-identical, dedup flags included.
 func TestEvaluateSuiteStreamingBitIdentical(t *testing.T) {
 	s := sweepSuite()
-	want, stats, err := EvaluateSuiteStats(s, 1)
+	want, stats, err := EvaluateSuiteStatsCtx(context.Background(), s, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats.Pruned != 0 || stats.Refined != 0 || stats.RefineRounds != 0 {
 		t.Errorf("plain evaluation reported adaptive stats %+v", stats)
 	}
-	got, _, err := EvaluateSuiteStats(s, runtime.GOMAXPROCS(0))
+	got, _, err := EvaluateSuiteStatsCtx(context.Background(), s, runtime.GOMAXPROCS(0))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -75,11 +76,11 @@ func TestEveryFamilyRoundTrips(t *testing.T) {
 			if err != nil {
 				t.Fatalf("decode: %v", err)
 			}
-			want, err := sc.Model()
+			want, err := sc.ModelCtx(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := back.Model()
+			got, err := back.ModelCtx(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -99,7 +100,7 @@ func TestEveryFamilyRoundTrips(t *testing.T) {
 // TestGoldenTimes pins the decoded models to the paper's closed forms.
 func TestGoldenTimes(t *testing.T) {
 	// gd-strong on spark: t(4) = C·S/(F·4) + spark(64W bits, 4).
-	model, err := Fig2().Model()
+	model, err := Fig2().ModelCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +110,7 @@ func TestGoldenTimes(t *testing.T) {
 		t.Errorf("fig2 t(4) = %v, want %v", got, wantComp+wantComm)
 	}
 	// gd-weak on two-stage tree: t(n) = (C·S/F + 2·log2(n)·32W/B)/n.
-	model, err = Fig3().Model()
+	model, err = Fig3().ModelCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,11 +142,11 @@ func TestLegacyScalingField(t *testing.T) {
 		t.Errorf("legacy scaling resolved to %q", family)
 	}
 	sc.Workload.Family = "gd-strong"
-	if _, err := sc.Model(); err == nil {
+	if _, err := sc.ModelCtx(context.Background()); err == nil {
 		t.Error("conflicting scaling/family accepted")
 	}
 	sc.Workload.Family = "weak" // alias of the same family: fine
-	if _, err := sc.Model(); err != nil {
+	if _, err := sc.ModelCtx(context.Background()); err != nil {
 		t.Errorf("matching alias rejected: %v", err)
 	}
 }
@@ -162,13 +163,13 @@ func TestComposedProtocolScenario(t *testing.T) {
 			{Kind: "sqrt-waves", BandwidthBitsPerSec: 1e9},
 		},
 	}
-	model, err := sc.Model()
+	model, err := sc.ModelCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	// tree + 2-wave sqrt aggregation is exactly the spark protocol.
 	spark := Fig2()
-	want, err := spark.Model()
+	want, err := spark.ModelCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +194,7 @@ func TestArchitectureScenario(t *testing.T) {
 		Hardware: HardwareSpec{Preset: "xeon-e3-1240"},
 		Protocol: ProtocolSpec{Kind: "spark", BandwidthBitsPerSec: 1e9},
 	}
-	model, err := sc.Model()
+	model, err := sc.ModelCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +209,7 @@ func TestArchitectureScenario(t *testing.T) {
 
 // TestFig4Scenario: the new default BP scenario builds and stays sublinear.
 func TestFig4Scenario(t *testing.T) {
-	model, err := Fig4().Model()
+	model, err := Fig4().ModelCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

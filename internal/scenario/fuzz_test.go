@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -75,7 +76,7 @@ func FuzzDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
-		model, err := s.Model()
+		model, err := s.ModelCtx(context.Background())
 		if err != nil {
 			t.Fatalf("accepted scenario does not build a model: %v", err)
 		}
@@ -147,7 +148,7 @@ func FuzzDecodeSuite(f *testing.F) {
 		}
 		// Accepted suites must evaluate without panicking; individual
 		// scenarios may fail, isolated in their Result.
-		results, err := EvaluateSuite(Suite{Name: "fuzz", Scenarios: scenarios}, 4)
+		results, _, err := EvaluateSuiteStatsCtx(context.Background(), Suite{Name: "fuzz", Scenarios: scenarios}, 4)
 		if err != nil && len(scenarios) > 0 {
 			// Expansion succeeded above, so only duplicate names can
 			// legitimately stop evaluation here.

@@ -65,7 +65,7 @@ type Scenario struct {
 	// Convergence optionally describes how the iteration count responds to
 	// the growing effective batch, letting the planner rank this scenario
 	// by time-to-accuracy instead of per-iteration speedup. Per-iteration
-	// evaluation (EvaluateSuite) ignores it.
+	// evaluation (EvaluateSuiteStatsCtx) ignores it.
 	Convergence *ConvergenceSpec `json:"convergence,omitempty"`
 }
 
@@ -103,16 +103,17 @@ func (s Scenario) Family() (string, error) {
 
 // Validate reports whether the scenario is complete and consistent. It
 // resolves every name through the registry and builds the model once, so a
-// scenario that validates is a scenario that evaluates; the optional
-// convergence block is validated alongside even though only the planner
-// reads it.
+// scenario that validates is a scenario that evaluates — for the graph
+// families that build prices the worker axis, which a later evaluation
+// then finds cached; the optional convergence block is validated alongside
+// even though only the planner reads it.
 func (s Scenario) Validate() error {
 	if s.Convergence != nil {
 		if err := s.Convergence.Validate(); err != nil {
 			return fmt.Errorf("scenario %q: %w", s.Name, err)
 		}
 	}
-	_, err := s.Model()
+	_, err := s.ModelCtx(context.Background())
 	return err
 }
 
@@ -160,17 +161,13 @@ func (s Scenario) EvalKey() string {
 	return string(key)
 }
 
-// Model builds the core model the scenario describes through the registry —
-// the same construction path the CLIs and the experiment harness use.
-func (s Scenario) Model() (core.Model, error) {
-	return s.ModelCtx(context.Background())
-}
-
-// ModelCtx is Model with the evaluation context bound into the model (see
-// registry.BuildModelCtx): kernel work behind the model's time functions —
-// Monte-Carlo estimation, graph generation, single-flight cache waits —
-// observes ctx and surfaces cancellation as the cell's error instead of
-// running to completion.
+// ModelCtx builds the core model the scenario describes through the
+// registry — the same construction path the CLIs and the experiment
+// harness use — for the scenario's worker axis, Workers(). Build-time
+// kernel work (graph generation, the graph families' Monte-Carlo pricing
+// of that axis, single-flight cache waits) observes ctx, and cancellation
+// returns as an error wrapping ctx's. The model's time functions are pure
+// and cheap; for the graph families they are defined on 1..MaxN only.
 func (s Scenario) ModelCtx(ctx context.Context) (core.Model, error) {
 	if s.Name == "" {
 		return core.Model{}, fmt.Errorf("scenario: missing name")
@@ -190,13 +187,7 @@ func (s Scenario) ModelCtx(ctx context.Context) (core.Model, error) {
 	if err != nil {
 		return core.Model{}, fmt.Errorf("scenario %q: %w", s.Name, err)
 	}
-	// Announce the curve's full worker axis to model construction: the
-	// graph families batch-fill the whole set's Monte-Carlo estimates from
-	// one common-random-numbers kernel pass on the first sampled point —
-	// sweeps, suite cells and every planner probe (grid and refined alike)
-	// route through here, so they all price their curves batched.
-	ctx = registry.WithKernelWorkerSet(ctx, s.Workers())
-	model, err := registry.BuildModelCtx(ctx, family, s.Name, s.Workload, node, protocol)
+	model, err := registry.BuildModel(ctx, family, s.Name, s.Workload, node, protocol, s.Workers())
 	if err != nil {
 		return core.Model{}, fmt.Errorf("scenario %q: %w", s.Name, err)
 	}

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"context"
 	"math"
 	"path/filepath"
 	"strings"
@@ -12,7 +13,7 @@ func TestFig2ScenarioMatchesPaper(t *testing.T) {
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	model, err := s.Model()
+	model, err := s.ModelCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +30,7 @@ func TestFig2ScenarioMatchesPaper(t *testing.T) {
 }
 
 func TestFig3ScenarioWeakScaling(t *testing.T) {
-	model, err := Fig3().Model()
+	model, err := Fig3().ModelCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,11 +53,11 @@ func TestRoundTrip(t *testing.T) {
 		t.Errorf("round trip changed scenario: %+v", back)
 	}
 	// The reloaded scenario produces the same model times.
-	a, err := Fig2().Model()
+	a, err := Fig2().ModelCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := back.Model()
+	b, err := back.ModelCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +102,7 @@ func TestSharedMemoryNeedsNoBandwidth(t *testing.T) {
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	model, err := s.Model()
+	model, err := s.ModelCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +115,7 @@ func TestSharedMemoryNeedsNoBandwidth(t *testing.T) {
 func TestCustomHardware(t *testing.T) {
 	s := Fig2()
 	s.Hardware = HardwareSpec{PeakFlops: 1e12, Efficiency: 0.5}
-	model, err := s.Model()
+	model, err := s.ModelCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +147,7 @@ func TestAllProtocolKinds(t *testing.T) {
 	for _, kind := range []string{"linear", "tree", "two-stage-tree", "spark", "ring", "shuffle", "shared-memory"} {
 		s := Fig2()
 		s.Protocol = ProtocolSpec{Kind: kind, BandwidthBitsPerSec: 1e9}
-		if _, err := s.Model(); err != nil {
+		if _, err := s.ModelCtx(context.Background()); err != nil {
 			t.Errorf("kind %q: %v", kind, err)
 		}
 	}
@@ -192,12 +193,12 @@ func TestValidateRejectsBadConvergenceBlock(t *testing.T) {
 func TestProtocolNetworkPresetInScenario(t *testing.T) {
 	s := Fig2()
 	s.Protocol = ProtocolSpec{Kind: "spark", Network: "gigabit-ethernet"}
-	model, err := s.Model()
+	model, err := s.ModelCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	raw := Fig2()
-	want, err := raw.Model()
+	want, err := raw.ModelCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -68,22 +68,6 @@ type Sweep struct {
 // request a combinatorial explosion.
 const maxSuiteScenarios = 4096
 
-// Expand returns the sweep's scenarios: one per grid point, named after the
-// base plus the swept values. It is a thin collector over the lazy grid
-// (see cells.go), kept for callers that want the whole slice; the cap guard
-// fires before any cell materializes.
-func (sw Sweep) Expand() ([]Scenario, error) {
-	g, err := sw.grid(maxSuiteScenarios)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Scenario, g.total)
-	for i := range out {
-		out[i] = g.cell(i).Scenario
-	}
-	return out, nil
-}
-
 // firstBandwidth returns the spec's own bandwidth — resolving a network
 // preset to its cataloged rate — or, for composite specs that carry none
 // themselves, the first positive bandwidth among the inner leaves.
@@ -125,23 +109,17 @@ func withBandwidth(p ProtocolSpec, b float64) ProtocolSpec {
 
 // Expand returns every scenario the suite declares: the explicit list
 // followed by the sweep grid, with the suite-level MaxWorkers override
-// applied. It is the materializing view over Cells, kept to the historical
-// cap; streaming consumers walk Cells directly and may go far beyond it.
-// Materializing re-checks names globally (explicit versus grid), which the
-// lazy view cannot afford.
+// applied. It is a plain collector over Cells, kept to the historical
+// materializing cap; streaming consumers walk Cells directly and may go far
+// beyond it.
 func (s Suite) Expand() ([]Scenario, error) {
 	cs, err := s.cells(maxSuiteScenarios)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]Scenario, cs.Len())
-	seen := make(map[string]bool, len(out))
 	for i := range out {
 		out[i] = cs.At(i).Scenario
-		if seen[out[i].Name] {
-			return nil, fmt.Errorf("scenario: suite %q: duplicate scenario name %q", s.Name, out[i].Name)
-		}
-		seen[out[i].Name] = true
 	}
 	return out, nil
 }
@@ -198,8 +176,11 @@ type EvalStats struct {
 	// CurvesDeduped + Failed + Cancelled.
 	Cancelled int
 	// BuildTime is the summed model-construction time (catalog resolution,
-	// graph generation); SampleTime is the summed curve-sampling time
-	// (Monte-Carlo estimation, time evaluation).
+	// graph generation and, for the graph families, the Monte-Carlo kernel
+	// pricing the worker axis — or, when the estimates are cached, the
+	// degree-sequence fingerprint the lookup hashes); SampleTime is the
+	// summed curve-sampling time (evaluating the built models' closed forms
+	// and table lookups).
 	BuildTime  time.Duration
 	SampleTime time.Duration
 	// Pruned counts cells skipped without evaluation because even their
@@ -235,11 +216,11 @@ type EvalStats struct {
 	// without a checkpoint.
 	ResumedCells int
 	// KernelComputeTime is how much of the pass went into actually
-	// computing Monte-Carlo kernels (cache misses; hits cost nothing),
-	// measured as the registry accumulator's delta across the pass. It
-	// overlaps BuildTime/SampleTime/PlanTime — it attributes them, it does
-	// not add to them. Concurrent passes in one process (a busy server)
-	// make the delta approximate.
+	// computing Monte-Carlo kernels (cache misses only), measured as the
+	// registry accumulator's delta across the pass. It is part of
+	// BuildTime (or PlanTime) — it attributes it, it does not add to it.
+	// Concurrent passes in one process (a busy server) make the delta
+	// approximate.
 	KernelComputeTime time.Duration
 	// SlowestCells are the top few cells by wall time, descending — where
 	// an extended -stats report points first. Total is always set; Build
@@ -286,40 +267,30 @@ func RecordCellTiming(top []CellTiming, ct CellTiming) []CellTiming {
 	return top
 }
 
-// EvaluateSuite expands the suite and computes every curve concurrently on
-// the shared parallelism budget (core.SetParallelism, default GOMAXPROCS);
-// parallelism caps the suite-level workers within that budget, ≤ 0 meaning
-// no extra cap. Scenario errors isolate: a bad grid point yields a Result
-// with Err set and the rest of the suite completes. Cells that describe the
-// same model under different labels — equal canonical inputs, i.e. the
-// scenario minus its name and convergence block — are evaluated once and
-// fanned out (see Result.Deduped).
-func EvaluateSuite(s Suite, parallelism int) ([]Result, error) {
-	results, _, err := EvaluateSuiteStats(s, parallelism)
-	return results, err
-}
-
-// EvaluateSuiteStats is EvaluateSuite plus the pass's evaluation stats —
-// the suite-level half of the cache observability surface (the process-wide
-// kernel caches report through registry.SnapshotCaches).
+// EvaluateSuiteStatsCtx expands the suite and computes every curve
+// concurrently on the shared parallelism budget (core.SetParallelism,
+// default GOMAXPROCS); parallelism caps the suite-level workers within that
+// budget, ≤ 0 meaning no extra cap. It returns one Result per cell plus the
+// pass's evaluation stats — the suite-level half of the cache observability
+// surface (the process-wide kernel caches report through
+// registry.SnapshotCaches). Scenario errors isolate: a bad grid point
+// yields a Result with Err set and the rest of the suite completes. Cells
+// that describe the same model under different labels — equal canonical
+// inputs, i.e. the scenario minus its name and convergence block — are
+// evaluated once and fanned out (see Result.Deduped).
 //
-// Cells are pulled lazily through core.EvaluateStream rather than expanded
-// up front, so grids beyond the materializing Expand cap (up to
+// Cells are pulled lazily through core.EvaluateStreamCtx rather than
+// expanded up front, so grids beyond the materializing Expand cap (up to
 // MaxStreamCells) evaluate in one pass and the job list is never held
-// whole. Results, dedup flags and errors are bit-identical with the
-// materialized EvaluateAll path at any parallelism: pulls are serialized in
-// index order, so the representative of every model key is still its
-// first occurrence.
-func EvaluateSuiteStats(s Suite, parallelism int) ([]Result, EvalStats, error) {
-	return EvaluateSuiteStatsCtx(context.Background(), s, parallelism)
-}
-
-// EvaluateSuiteStatsCtx is EvaluateSuiteStats under a context. Cancellation
-// yields deterministic partial results: every cell still gets exactly one
-// Result — cells evaluated before ctx fired are bit-identical to an
-// uncancelled run's, the rest carry an error wrapping ctx.Err() and count
-// in EvalStats.Cancelled — and the suite-level error is ctx's, so callers
-// can distinguish "suite invalid" from "run abandoned" while still
+// whole. Results, dedup flags and errors are bit-identical at any
+// parallelism: pulls are serialized in index order, so the representative
+// of every model key is always its first occurrence.
+//
+// Cancellation yields deterministic partial results: every cell still gets
+// exactly one Result — cells evaluated before ctx fired are bit-identical
+// to an uncancelled run's, the rest carry an error wrapping ctx.Err() and
+// count in EvalStats.Cancelled — and the suite-level error is ctx's, so
+// callers can distinguish "suite invalid" from "run abandoned" while still
 // rendering what completed.
 func EvaluateSuiteStatsCtx(ctx context.Context, s Suite, parallelism int) ([]Result, EvalStats, error) {
 	return EvaluateSuiteCheckpointCtx(ctx, s, parallelism, nil)
@@ -383,10 +354,10 @@ func EvaluateSuiteCheckpointCtx(ctx context.Context, s Suite, parallelism int, c
 				}
 			}
 			return core.StreamJob{Index: c.Index, Job: core.Job{
-				Name:     sc.Name,
-				BuildCtx: sc.ModelCtx,
-				Workers:  sc.Workers(),
-				Key:      sc.EvalKey(),
+				Name:    sc.Name,
+				Build:   sc.ModelCtx,
+				Workers: sc.Workers(),
+				Key:     sc.EvalKey(),
 			}}, true
 		}
 	}

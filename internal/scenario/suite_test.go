@@ -1,12 +1,18 @@
 package scenario
 
 import (
+	"context"
 	"reflect"
 	"strings"
 	"testing"
 
 	"dmlscale/internal/registry"
 )
+
+// expandSweep materializes a sweep's grid through a sweep-only suite.
+func expandSweep(sw Sweep) ([]Scenario, error) {
+	return Suite{Name: "sweep", Sweep: &sw}.Expand()
+}
 
 // testSuite returns a suite that expands to ≥ 8 scenarios: the family tour
 // plus a bandwidth × protocol sweep of the Fig. 2 base.
@@ -64,7 +70,7 @@ func TestSweepBandwidthDoesNotAliasComposedBase(t *testing.T) {
 		},
 	}
 	sweep := Sweep{Base: base, BandwidthsBitsPerSec: []float64{1e9, 1e10}}
-	scenarios, err := sweep.Expand()
+	scenarios, err := expandSweep(sweep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +99,7 @@ func TestSweepKeepsBaseParamsForMatchingKind(t *testing.T) {
 	base := Fig2()
 	base.Protocol = ProtocolSpec{Kind: "pipelined-tree", BandwidthBitsPerSec: 1e9, Chunks: 8}
 	sweep := Sweep{Base: base, Protocols: []string{"pipelined-tree", "ring"}}
-	scenarios, err := sweep.Expand()
+	scenarios, err := expandSweep(sweep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,14 +127,14 @@ func TestSweepComposedBaseProtocolAxis(t *testing.T) {
 		},
 	}
 	sweep := Sweep{Base: base, Protocols: []string{"ring"}}
-	scenarios, err := sweep.Expand()
+	scenarios, err := expandSweep(sweep)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := scenarios[0].Protocol; got.Kind != "ring" || got.BandwidthBitsPerSec != 1e9 {
 		t.Fatalf("swept spec = %+v, want ring at 1e9", got)
 	}
-	if _, err := scenarios[0].Model(); err != nil {
+	if _, err := scenarios[0].ModelCtx(context.Background()); err != nil {
 		t.Errorf("swept grid point does not build: %v", err)
 	}
 }
@@ -147,7 +153,7 @@ func TestSweepCapFiresBeforeMaterializing(t *testing.T) {
 		MaxWorkers:           []int{8, 16, 32},
 	}
 	// 100000 × 100000 × 3 grid points: must error fast, not allocate.
-	if _, err := sweep.Expand(); err == nil {
+	if _, err := expandSweep(sweep); err == nil {
 		t.Fatal("oversized grid accepted")
 	}
 }
@@ -219,11 +225,11 @@ func TestSuiteRejectsBadShapes(t *testing.T) {
 // results match a serial evaluation.
 func TestEvaluateSuiteConcurrently(t *testing.T) {
 	suite := testSuite()
-	parallel, err := EvaluateSuite(suite, 0)
+	parallel, _, err := EvaluateSuiteStatsCtx(context.Background(), suite, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := EvaluateSuite(suite, 1)
+	serial, _, err := EvaluateSuiteStatsCtx(context.Background(), suite, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +274,7 @@ func TestEvaluateSuiteDedupsIdenticalCellsOutOfOrder(t *testing.T) {
 	alias.Scaling = ""
 	alias.Workload.Family = "gd-strong"
 	suite := Suite{Name: "dedup", Scenarios: []Scenario{a, distinct, a2, alias}}
-	results, stats, err := EvaluateSuiteStats(suite, 0)
+	results, stats, err := EvaluateSuiteStatsCtx(context.Background(), suite, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +301,7 @@ func TestEvaluateSuiteDedupsIdenticalCellsOutOfOrder(t *testing.T) {
 		}
 	}
 	// Bit-identity with a standalone evaluation of the duplicate.
-	solo, err := EvaluateSuite(Suite{Name: "solo", Scenarios: []Scenario{a2}}, 0)
+	solo, _, err := EvaluateSuiteStatsCtx(context.Background(), Suite{Name: "solo", Scenarios: []Scenario{a2}}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +327,7 @@ func TestEvaluateSuiteColdVsWarmBitIdentical(t *testing.T) {
 			BandwidthsBitsPerSec: []float64{1e9, 10e9},
 		},
 	}
-	cold, coldStats, err := EvaluateSuiteStats(suite, 0)
+	cold, coldStats, err := EvaluateSuiteStatsCtx(context.Background(), suite, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +335,7 @@ func TestEvaluateSuiteColdVsWarmBitIdentical(t *testing.T) {
 	if missesAfterCold != 12 {
 		t.Errorf("cold pass performed %d estimations, want 12 (one per worker count)", missesAfterCold)
 	}
-	warm, warmStats, err := EvaluateSuiteStats(suite, 0)
+	warm, warmStats, err := EvaluateSuiteStatsCtx(context.Background(), suite, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +363,7 @@ func TestEvaluateSuiteIsolatesBadScenario(t *testing.T) {
 	bad.Hardware = HardwareSpec{Preset: "abacus"}
 	suite := testSuite()
 	suite.Scenarios = append(suite.Scenarios, bad)
-	results, stats, err := EvaluateSuiteStats(suite, 0)
+	results, stats, err := EvaluateSuiteStatsCtx(context.Background(), suite, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -470,7 +476,7 @@ func TestSweepRePricesNetworkPreset(t *testing.T) {
 		BandwidthsBitsPerSec: []float64{10e9},
 		Protocols:            []string{"ring"},
 	}
-	scenarios, err := sw.Expand()
+	scenarios, err := expandSweep(sw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -489,7 +495,7 @@ func TestSweepRePricesNetworkPreset(t *testing.T) {
 	}
 	// Without a bandwidth axis, the kind switch carries the preset's rate.
 	kindOnly := Sweep{Base: base, Protocols: []string{"ring"}}
-	scenarios, err = kindOnly.Expand()
+	scenarios, err = expandSweep(kindOnly)
 	if err != nil {
 		t.Fatal(err)
 	}

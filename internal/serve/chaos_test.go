@@ -237,7 +237,7 @@ func TestChaosFaultInjection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	report, _, err := planner.PlanSuiteOpts(suite, "", 0, planner.Options{})
+	report, _, err := planner.PlanSuiteCtx(context.Background(), suite, "", 0, planner.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

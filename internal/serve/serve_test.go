@@ -254,7 +254,7 @@ func TestPlanMatchesOfflineByteForByte(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	report, _, err := planner.PlanSuiteOpts(suite, "", 0, planner.Options{Prune: true, RefineRounds: 1})
+	report, _, err := planner.PlanSuiteCtx(context.Background(), suite, "", 0, planner.Options{Prune: true, RefineRounds: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +277,7 @@ func TestSweepMatchesOfflineByteForByte(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, _, err := scenario.EvaluateSuiteStats(suite, 0)
+	results, _, err := scenario.EvaluateSuiteStatsCtx(context.Background(), suite, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
