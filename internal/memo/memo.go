@@ -120,7 +120,7 @@ func New[K comparable, V any](capacity, stripes int, hash func(K) uint64) *Cache
 	per := (capacity + n - 1) / n
 	for i := range c.stripes {
 		c.stripes[i].cap = per
-		c.stripes[i].entries = make(map[K]*list.Element, per)
+		c.stripes[i].entries = make(map[K]*list.Element)
 		c.stripes[i].order = list.New()
 	}
 	return c
@@ -331,12 +331,14 @@ func (c *Cache[K, V]) Stats() Stats {
 }
 
 // Reset empties the cache and zeroes its counters, so benchmarks and tests
-// measure from a fully cold state rather than a half-warm one.
+// measure from a fully cold state rather than a half-warm one. Like New, it
+// leaves stripe maps unsized: they grow with what they hold, so a reset
+// cache costs no more than its entries.
 func (c *Cache[K, V]) Reset() {
 	for i := range c.stripes {
 		st := &c.stripes[i]
 		st.mu.Lock()
-		st.entries = make(map[K]*list.Element, st.cap)
+		st.entries = make(map[K]*list.Element)
 		st.order.Init()
 		st.mu.Unlock()
 	}

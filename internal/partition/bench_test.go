@@ -96,7 +96,8 @@ func legacyMonteCarloMaxEdges(degrees []int32, workers, trials int, seed int64) 
 // a 64-point worker axis over one degree sequence three ways.
 //
 //   - Batched: one MonteCarloMaxEdgesBatch call — one SplitMix64 draw per
-//     vertex per trial serves all 64 points (common random numbers).
+//     vertex per trial, added to one cut-point histogram bin, serves all 64
+//     points (common random numbers).
 //   - PerWorker: the kernel this PR replaced — one independent math/rand
 //     pass (rand.New + Intn per vertex) per point, worker count hashed into
 //     the stream. This is the before/after pair the headline ratio reads.

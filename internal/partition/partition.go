@@ -16,7 +16,9 @@ package partition
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/bits"
+	"slices"
 
 	"dmlscale/internal/core"
 	"dmlscale/internal/graph"
@@ -258,13 +260,21 @@ func MonteCarloMaxEdges(degrees []int32, workers, trials int, seed int64) (Estim
 
 // MonteCarloMaxEdgesBatch estimates maxᵢ Eᵢ for every worker count in
 // workerCounts over one shared set of random assignments: per trial it
-// draws ONE uniform value per vertex from the inline SplitMix64 stream
-// (TrialSeed) and reduces that single draw into each worker count's load
-// vector via Lemire multiply-shift bounded reduction. A |W|-point curve
-// therefore costs one O(trials·V) RNG pass plus a multiply-shift-and-add
-// per (vertex, worker count) — instead of |W| independent RNG-heavy passes
-// — and the worker counts share common random numbers, so curve-shape
-// differences between adjacent points carry no independent sampling noise.
+// draws ONE uniform value r per vertex from the inline SplitMix64 stream
+// (TrialSeed), and vertex v lands on worker hi(r·w) — Lemire's
+// multiply-shift reduction — of every worker count w at once (common random
+// numbers).
+//
+// The kernel never reduces a draw once per worker count. hi(r·w) ≥ j exactly
+// when r ≥ ⌈j·2⁶⁴/w⌉, so the sorted union of those cut points over the
+// batch's distinct worker counts splits [0, 2⁶⁴) into C bins, each of which
+// lies inside one worker of every w. A trial adds each vertex's degree to
+// the one bin its draw falls in (a top-bits lookup table makes that O(1) on
+// a dense axis, O(log C) at worst), prefix-sums the bins, and reads every
+// worker's load as a difference of two prefix sums. The loads are the same
+// integer sums the per-worker-count reduction gives, so the estimates are
+// bit-identical to it, and a trial costs O(V + C + Σw) instead of O(V·|W|):
+// the 1..64 axis has C ≈ 1.3K. Scratch is O(C + Σw); nothing is V-sized.
 //
 // Estimates align with workerCounts (which need not be sorted or unique).
 // Trials shard across the shared parallelism budget and trial maxima are
@@ -292,41 +302,29 @@ func MonteCarloMaxEdgesBatch(ctx context.Context, degrees []int32, workerCounts 
 		edges += int64(d)
 	}
 	edges /= 2
-	// Per worker count: its dup correction and its slice [offsets[i],
-	// offsets[i+1]) of the shard-local flat loads buffer — one allocation
-	// for the whole batch, laid out in batch order so the inner loop walks
-	// it forward.
-	dups := make([]float64, len(workerCounts))
-	offsets := make([]int, len(workerCounts)+1)
-	for i, w := range workerCounts {
+	axis := slices.Clone(workerCounts)
+	slices.Sort(axis)
+	axis = slices.Compact(axis)
+	tab := newCutTable(axis)
+	dups := make([]float64, len(axis))
+	for i, w := range axis {
 		dups[i] = DupCorrection(len(degrees), edges, w)
-		offsets[i+1] = offsets[i] + w
-	}
-	// lanes is the inner loop's working set: each worker count as the
-	// (multiplier, flat-buffer offset) pair the per-vertex reduction needs,
-	// in one contiguous slice so the hot loop does a single ranged read per
-	// lane instead of two bounds-checked lookups.
-	type lane struct {
-		w   uint64
-		off int
-	}
-	lanes := make([]lane, len(workerCounts))
-	for i, w := range workerCounts {
-		lanes[i] = lane{w: uint64(w), off: offsets[i]}
 	}
 
 	done := ctx.Done()
-	// maxes[i*trials+trial] is worker count i's trial-th maximum; reducing
-	// per worker count in trial-index order keeps every estimate
+	// maxes[i*trials+trial] is distinct worker count i's trial-th maximum;
+	// reducing per worker count in trial-index order keeps every estimate
 	// parallelism-independent.
-	maxes := make([]float64, len(workerCounts)*trials)
+	maxes := make([]float64, len(axis)*trials)
 	core.ParallelChunks(trials, func(lo, hi int) {
 		_, shard := obs.Start(ctx, "mc-shard")
 		shard.SetInt("trials", int64(hi-lo))
 		shard.SetInt("batch", int64(len(workerCounts)))
 		shard.SetInt("workers", int64(workerCounts[len(workerCounts)-1]))
 		defer shard.End()
-		loads := make([]int64, offsets[len(workerCounts)])
+		// bins[k] accumulates bin k's degree sum; the prefix pass turns it
+		// into the sum of bins before k, and bins[C] into the total.
+		bins := make([]int64, len(tab.cuts)+1)
 		for trial := lo; trial < hi; trial++ {
 			if done != nil {
 				select {
@@ -335,20 +333,15 @@ func MonteCarloMaxEdgesBatch(ctx context.Context, degrees []int32, workerCounts 
 				default:
 				}
 			}
-			state := rng(TrialSeed(seed, trial))
-			for i := range loads {
-				loads[i] = 0
+			clear(bins)
+			tab.fill(bins, degrees, rng(TrialSeed(seed, trial)))
+			var sum int64
+			for k, b := range bins {
+				bins[k] = sum
+				sum += b
 			}
-			for _, d := range degrees {
-				r := state.next()
-				dd := int64(d)
-				for _, ln := range lanes {
-					hi, _ := bits.Mul64(r, ln.w)
-					loads[ln.off+int(hi)] += dd
-				}
-			}
-			for i := range workerCounts {
-				maxes[i*trials+trial] = MaxLoad(loads[offsets[i]:offsets[i+1]], dups[i])
+			for i := range axis {
+				maxes[i*trials+trial] = tab.maxLoad(bins, i, dups[i])
 			}
 		}
 	})
@@ -356,14 +349,154 @@ func MonteCarloMaxEdgesBatch(ctx context.Context, degrees []int32, workerCounts 
 		return nil, fmt.Errorf("partition: Monte-Carlo estimation cancelled: %w", err)
 	}
 	ests := make([]Estimate, len(workerCounts))
-	for i := range workerCounts {
+	for j, w := range workerCounts {
+		i, _ := slices.BinarySearch(axis, w)
 		total := 0.0
 		for _, m := range maxes[i*trials : (i+1)*trials] {
 			total += m
 		}
-		ests[i] = Estimate{MaxEdges: total / float64(trials), Trials: trials}
+		ests[j] = Estimate{MaxEdges: total / float64(trials), Trials: trials}
 	}
 	return ests, nil
+}
+
+// maxLUTBits caps the cut table's top-bits lookup at 2¹⁵ slots (256 KiB);
+// past that, a slot's bins are binary-searched.
+const maxLUTBits = 15
+
+// cutTable is a worker axis laid out as histogram bins, built once per batch
+// and shared read-only by every trial shard.
+type cutTable struct {
+	// cuts are the sorted distinct cut points ⌈j·2⁶⁴/w⌉ over the axis's
+	// worker counts w and 0 ≤ j < w; bin k is [cuts[k], cuts[k+1]).
+	cuts []uint64
+	// lut[s] packs the first (low 32 bits) and last (high 32 bits) bins
+	// that draws with top bits s, r>>shift == s, can fall in. It is sized
+	// to two to four slots per cut, so most slots span at most two bins.
+	lut   []uint64
+	shift uint
+	// bounds[offs[i]:offs[i+1]] are the w+1 bin indices that delimit the
+	// workers of the axis's i-th worker count: worker j owns bins
+	// [bounds[j], bounds[j+1]).
+	bounds []int32
+	offs   []int
+	// single is the worker count of a one-point axis, whose bins are its
+	// workers, so a draw's bin is hi(r·w) directly; 0 otherwise.
+	single uint64
+}
+
+// newCutTable lays out a sorted, duplicate-free axis of worker counts.
+func newCutTable(axis []int) *cutTable {
+	t := &cutTable{offs: make([]int, len(axis)+1)}
+	n := 0
+	for i, w := range axis {
+		n += w
+		t.offs[i+1] = t.offs[i] + w + 1
+	}
+	t.cuts = make([]uint64, 0, n)
+	for _, w := range axis {
+		for j := range w {
+			t.cuts = append(t.cuts, cutPoint(j, w))
+		}
+	}
+	slices.Sort(t.cuts)
+	t.cuts = slices.Compact(t.cuts)
+	t.bounds = make([]int32, 0, t.offs[len(axis)])
+	for _, w := range axis {
+		for j := range w {
+			k, _ := slices.BinarySearch(t.cuts, cutPoint(j, w))
+			t.bounds = append(t.bounds, int32(k))
+		}
+		t.bounds = append(t.bounds, int32(len(t.cuts)))
+	}
+	if len(axis) == 1 {
+		t.single = uint64(axis[0])
+		return t
+	}
+	b := min(bits.Len(uint(len(t.cuts)))+1, maxLUTBits)
+	t.shift = uint(64 - b)
+	t.lut = make([]uint64, 1<<b)
+	first, last := 0, 0
+	for s := range t.lut {
+		lo := uint64(s) << t.shift
+		hi := lo | (1<<t.shift - 1)
+		for first+1 < len(t.cuts) && t.cuts[first+1] <= lo {
+			first++
+		}
+		for last+1 < len(t.cuts) && t.cuts[last+1] <= hi {
+			last++
+		}
+		t.lut[s] = uint64(last)<<32 | uint64(first)
+	}
+	return t
+}
+
+// cutPoint returns ⌈j·2⁶⁴/w⌉ for 0 ≤ j < w: the least draw r with
+// hi(r·w) ≥ j, where worker j of w begins.
+func cutPoint(j, w int) uint64 {
+	q, rem := bits.Div64(uint64(j), 0, uint64(w))
+	if rem != 0 {
+		q++
+	}
+	return q
+}
+
+// fill adds every vertex's degree to the bin of its draw from state.
+func (t *cutTable) fill(bins []int64, degrees []int32, state rng) {
+	if t.single != 0 {
+		for _, d := range degrees {
+			k, _ := bits.Mul64(state.next(), t.single)
+			bins[k] += int64(d)
+		}
+		return
+	}
+	cuts, lut, shift := t.cuts, t.lut, t.shift
+	for _, d := range degrees {
+		r := state.next()
+		e := lut[r>>shift]
+		lo, hi := int(uint32(e)), int(e>>32)
+		// The bin is the last k in [lo, hi] with cuts[k] ≤ r, and
+		// cuts[lo] ≤ r holds. A slot rarely holds more than one cut, so
+		// the common case is one branch-free compare (a no-op when
+		// lo == hi).
+		if hi-lo > 1 {
+			lo = lastAtMost(cuts, lo, hi, r)
+		} else {
+			_, below := bits.Sub64(r, cuts[hi], 0)
+			lo = hi - int(below)
+		}
+		bins[lo] += int64(d)
+	}
+}
+
+// lastAtMost returns the last k in [lo, hi] with cuts[k] ≤ r, given
+// cuts[lo] ≤ r.
+func lastAtMost(cuts []uint64, lo, hi int, r uint64) int {
+	for lo < hi {
+		mid := int(uint(lo+hi+1) >> 1)
+		if cuts[mid] <= r {
+			lo = mid
+		} else {
+			hi = mid - 1
+		}
+	}
+	return lo
+}
+
+// maxLoad returns the axis's i-th worker count's max(0, maxⱼ Eⱼ − dup) from
+// prefix-summed bins — MaxLoad over its load vector, bit for bit: a float64
+// conversion and the subtraction are monotone, so the largest integer load
+// gives the largest corrected one.
+func (t *cutTable) maxLoad(prefix []int64, i int, dup float64) float64 {
+	bounds := t.bounds[t.offs[i]:t.offs[i+1]]
+	prev := prefix[bounds[0]]
+	top := int64(math.MinInt64)
+	for _, b := range bounds[1:] {
+		next := prefix[b]
+		top = max(top, next-prev)
+		prev = next
+	}
+	return MaxLoad([]int64{top}, dup)
 }
 
 // ExactLoads returns, for each worker, the exact number of edges it

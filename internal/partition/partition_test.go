@@ -4,6 +4,9 @@ import (
 	"context"
 	"errors"
 	"math"
+	"math/bits"
+	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -336,6 +339,198 @@ func TestMonteCarloBatchMatchesSingleton(t *testing.T) {
 			}
 		}
 	}
+}
+
+// referenceBatch is the kernel's oracle: the per-(vertex, worker count)
+// multiply-shift scatter the cut-point histogram replaced. Per trial it
+// draws one value per vertex and reduces it into every worker count's own
+// load vector with hi(r·w), then reduces trial maxima in index order.
+func referenceBatch(degrees []int32, workerCounts []int, trials int, seed int64) []Estimate {
+	var edges int64
+	for _, d := range degrees {
+		edges += int64(d)
+	}
+	edges /= 2
+	loads := make([][]int64, len(workerCounts))
+	totals := make([]float64, len(workerCounts))
+	for i, w := range workerCounts {
+		loads[i] = make([]int64, w)
+	}
+	for trial := 0; trial < trials; trial++ {
+		state := rng(TrialSeed(seed, trial))
+		for i := range loads {
+			clear(loads[i])
+		}
+		for _, d := range degrees {
+			r := state.next()
+			for i, w := range workerCounts {
+				hi, _ := bits.Mul64(r, uint64(w))
+				loads[i][hi] += int64(d)
+			}
+		}
+		for i, w := range workerCounts {
+			totals[i] += MaxLoad(loads[i], DupCorrection(len(degrees), edges, w))
+		}
+	}
+	ests := make([]Estimate, len(workerCounts))
+	for i := range workerCounts {
+		ests[i] = Estimate{MaxEdges: totals[i] / float64(trials), Trials: trials}
+	}
+	return ests
+}
+
+// workerSpan returns the worker axis lo..hi.
+func workerSpan(lo, hi int) []int {
+	axis := make([]int, 0, hi-lo+1)
+	for w := lo; w <= hi; w++ {
+		axis = append(axis, w)
+	}
+	return axis
+}
+
+// checkBatchMatchesReference fails t unless the kernel's estimates equal the
+// oracle's bit for bit.
+func checkBatchMatchesReference(t *testing.T, label string, degrees []int32, workerCounts []int, trials int, seed int64) {
+	t.Helper()
+	got, err := MonteCarloMaxEdgesBatch(context.Background(), degrees, workerCounts, trials, seed)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	want := referenceBatch(degrees, workerCounts, trials, seed)
+	for i, w := range workerCounts {
+		if math.Float64bits(got[i].MaxEdges) != math.Float64bits(want[i].MaxEdges) || got[i].Trials != want[i].Trials {
+			t.Errorf("%s: axis %v, w=%d: kernel %v, reference %v", label, workerCounts, w, got[i], want[i])
+		}
+	}
+}
+
+func TestBatchMatchesReference(t *testing.T) {
+	dns, err := graph.ScaledDNSGraph(6000).Degrees(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid, err := graph.Grid2D(60, 70)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := rand.New(rand.NewSource(5))
+	random := make([]int32, 3000)
+	for i := range random {
+		random[i] = int32(src.Intn(200))
+	}
+	sequences := []struct {
+		name    string
+		degrees []int32
+	}{
+		{"dns", dns},
+		{"grid", grid.Degrees()},
+		{"random", random},
+	}
+	for _, seq := range sequences {
+		v := len(seq.degrees)
+		axes := [][]int{
+			workerSpan(1, 64),
+			{64, 3, 17, 1, 40, 2},     // unsorted
+			{8, 8, 3, 8, 3},           // duplicated
+			{1},                       // one worker
+			{v},                       // one vertex per worker on average
+			{2, 5, 11, 97, 300, 1023}, // non-contiguous
+			{4096, 1, 4095, 7},        // up to 4096 workers
+			workerSpan(2000, 2100),    // a crowded cut table
+		}
+		for _, axis := range axes {
+			for trials := 1; trials <= 5; trials++ {
+				checkBatchMatchesReference(t, seq.name, seq.degrees, axis, trials, int64(trials)*7+1)
+			}
+		}
+	}
+}
+
+// stateFor returns the generator state whose next draw is r, by inverting
+// the SplitMix64 output mix: each xorshift and odd multiply is a bijection.
+func stateFor(r uint64) rng {
+	unshift := func(y uint64, s uint) uint64 {
+		x := y
+		for i := s; i < 64; i += s {
+			x = y ^ x>>s
+		}
+		return x
+	}
+	inverse := func(m uint64) uint64 { // m·x ≡ 1 (mod 2⁶⁴), Newton's iteration
+		x := m
+		for range 5 {
+			x *= 2 - m*x
+		}
+		return x
+	}
+	z := unshift(r, 31) * inverse(0x94d049bb133111eb)
+	z = unshift(z, 27) * inverse(0xbf58476d1ce4e5b9)
+	return rng(unshift(z, 30) - 0x9e3779b97f4a7c15) // SplitMix64 adds γ before mixing
+}
+
+func TestCutTableBinsDrawsAtEveryBoundary(t *testing.T) {
+	// Draws on and beside every cut point and lookup-slot edge must land
+	// in the bin that lies inside worker hi(r·w) of every w on the axis —
+	// the exactness the histogram rests on, at the draws random trials
+	// almost never produce.
+	axes := [][]int{{1}, {7}, {4096}, {2, 3}, workerSpan(1, 64), {1, 7, 4095, 4096}, workerSpan(2000, 2100)}
+	for _, axis := range axes {
+		tab := newCutTable(axis)
+		bins := make([]int64, len(tab.cuts)+1)
+		stride := max(1, len(tab.cuts)/5000) // sample a crowded table's cuts
+		var draws []uint64
+		for k := 0; k < len(tab.cuts); k += stride {
+			c := tab.cuts[k]
+			draws = append(draws, c-1, c, c+1) // c-1 wraps to 2⁶⁴−1 at c = 0
+		}
+		for s := range tab.lut {
+			draws = append(draws, uint64(s)<<tab.shift, uint64(s)<<tab.shift-1)
+		}
+		for _, r := range draws {
+			state := stateFor(r)
+			if probe := state; probe.next() != r {
+				t.Fatalf("stateFor(%d) is not the state before that draw", r)
+			}
+			tab.fill(bins, []int32{1}, state)
+			k, found := slices.BinarySearch(tab.cuts, r)
+			if !found {
+				k-- // the last cut at most r; cuts[0] = 0
+			}
+			if bins[k] != 1 {
+				t.Fatalf("axis %v: draw %d not in bin %d", axis, r, k)
+			}
+			bins[k] = 0
+			for i, w := range axis {
+				j, _ := bits.Mul64(r, uint64(w))
+				bounds := tab.bounds[tab.offs[i]:tab.offs[i+1]]
+				if int32(k) < bounds[j] || int32(k) >= bounds[j+1] {
+					t.Fatalf("axis %v: draw %d in bin %d, outside worker %d of %d (bins [%d, %d))",
+						axis, r, k, j, w, bounds[j], bounds[j+1])
+				}
+			}
+		}
+	}
+}
+
+func FuzzBatchMatchesReference(f *testing.F) {
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, uint16(1), uint16(64), uint8(3), int64(42))
+	f.Add([]byte{0, 0, 255, 9}, uint16(4096), uint16(7), uint8(1), int64(-1))
+	f.Add([]byte{200}, uint16(3), uint16(3), uint8(5), int64(0))
+	f.Add([]byte{17, 4, 4, 4, 90, 1}, uint16(1000), uint16(999), uint8(2), int64(7))
+	f.Fuzz(func(t *testing.T, raw []byte, a, b uint16, trials uint8, seed int64) {
+		if len(raw) == 0 || len(raw) > 4096 {
+			return
+		}
+		degrees := make([]int32, len(raw))
+		for i, d := range raw {
+			degrees[i] = int32(d)
+		}
+		// Two endpoints plus the gap between them: unsorted, possibly
+		// equal, spanning 1..4096.
+		wa, wb := int(a)%4096+1, int(b)%4096+1
+		axis := []int{wa, wb, (wa+wb)/2 + 1}
+		checkBatchMatchesReference(t, "fuzz", degrees, axis, int(trials)%5+1, seed)
+	})
 }
 
 func TestMonteCarloBatchErrors(t *testing.T) {

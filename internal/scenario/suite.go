@@ -258,12 +258,16 @@ func RecordCellTiming(top []CellTiming, ct CellTiming) []CellTiming {
 	if i >= maxSlowestCells {
 		return top
 	}
-	top = append(top, CellTiming{})
-	copy(top[i+1:], top[i:])
-	top[i] = ct
-	if len(top) > maxSlowestCells {
-		top = top[:maxSlowestCells]
+	// Allocate the final size once: callers may keep every pass's stats,
+	// and growing by append would leave 1+2+4 dead slots behind each list.
+	if cap(top) < maxSlowestCells {
+		top = append(make([]CellTiming, 0, maxSlowestCells), top...)
 	}
+	if len(top) < maxSlowestCells {
+		top = top[:len(top)+1]
+	}
+	copy(top[i+1:], top[i:]) // a full list drops its fastest
+	top[i] = ct
 	return top
 }
 

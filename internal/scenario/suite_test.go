@@ -2,9 +2,12 @@ package scenario
 
 import (
 	"context"
+	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"dmlscale/internal/registry"
 )
@@ -501,5 +504,22 @@ func TestSweepRePricesNetworkPreset(t *testing.T) {
 	}
 	if b := scenarios[0].Protocol.BandwidthBitsPerSec; b != 1e9 {
 		t.Errorf("kind switch inherited bandwidth %g, want the preset's 1e9", b)
+	}
+}
+
+func TestRecordCellTimingKeepsSlowestInOneAllocation(t *testing.T) {
+	var top []CellTiming
+	for _, ms := range []int{3, 9, 0, 1, 7, 12, 5, 2, 8} {
+		top = RecordCellTiming(top, CellTiming{Name: fmt.Sprint(ms), Total: time.Duration(ms) * time.Millisecond})
+		if cap(top) != maxSlowestCells {
+			t.Fatalf("after %d ms: cap %d, want %d", ms, cap(top), maxSlowestCells)
+		}
+	}
+	var got []string
+	for _, ct := range top {
+		got = append(got, ct.Name)
+	}
+	if want := []string{"12", "9", "8", "7", "5"}; !slices.Equal(got, want) {
+		t.Errorf("slowest cells %v, want %v", got, want)
 	}
 }

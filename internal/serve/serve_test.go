@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"dmlscale/internal/core"
 	"dmlscale/internal/obs"
 	"dmlscale/internal/planner"
 	"dmlscale/internal/scenario"
@@ -242,7 +243,13 @@ func TestAccessLogPhaseBreakdown(t *testing.T) {
 
 // TestPlanMatchesOfflineByteForByte is the service's core contract: a
 // /v1/plan response equals dmls-plan -format json over the same suite.
+// Which dominated cells adaptive pruning skips depends on scheduling at
+// parallelism > 1, so both sides plan at parallelism 1, where the order is
+// fixed.
 func TestPlanMatchesOfflineByteForByte(t *testing.T) {
+	prev := core.Parallelism()
+	core.SetParallelism(1)
+	t.Cleanup(func() { core.SetParallelism(prev) })
 	_, ts := newTestServer(t, Config{})
 	status, body, _ := post(t, ts, "/v1/plan",
 		`{"suite": `+planSuiteJSON+`, "adaptive": true, "refine": 1}`)
