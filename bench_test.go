@@ -8,6 +8,7 @@ package dmlscale_test
 // figures.
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"testing"
@@ -141,7 +142,7 @@ func benchmarkSuiteEval(b *testing.B, parallelism int) {
 	b.Helper()
 	suite := benchSuite()
 	for i := 0; i < b.N; i++ {
-		results, err := dmlscale.EvaluateSuite(suite, parallelism)
+		results, _, err := dmlscale.EvaluateSuite(context.Background(), suite, parallelism)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -177,7 +178,7 @@ func benchmarkSingleCurve(b *testing.B, parallelism int) {
 	defer dmlscale.SetParallelism(0)
 	dmlscale.SetParallelism(parallelism)
 	for i := 0; i < b.N; i++ {
-		results, err := dmlscale.EvaluateSuite(suite, 0)
+		results, _, err := dmlscale.EvaluateSuite(context.Background(), suite, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -215,7 +216,7 @@ func benchKernelGrid() dmlscale.Suite {
 // evaluateGrid runs one full suite evaluation, failing on any cell error.
 func evaluateGrid(b *testing.B, suite dmlscale.Suite) {
 	b.Helper()
-	results, err := dmlscale.EvaluateSuite(suite, 0)
+	results, _, err := dmlscale.EvaluateSuite(context.Background(), suite, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -292,13 +293,13 @@ func BenchmarkPlanGridWarm(b *testing.B) {
 	suite := benchKernelGrid()
 	defer dmlscale.ResetCaches()
 	dmlscale.ResetCaches()
-	if _, err := dmlscale.PlanSuite(suite, "", 0); err != nil { // prewarm
+	if _, _, err := dmlscale.PlanSuite(context.Background(), suite, "", 0, dmlscale.PlanOptions{}); err != nil { // prewarm
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		report, err := dmlscale.PlanSuite(suite, "", 0)
+		report, _, err := dmlscale.PlanSuite(context.Background(), suite, "", 0, dmlscale.PlanOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -342,7 +343,7 @@ func benchmarkPlanGrid(b *testing.B, parallelism int) {
 	defer dmlscale.SetParallelism(0)
 	dmlscale.SetParallelism(parallelism)
 	for i := 0; i < b.N; i++ {
-		report, err := dmlscale.PlanSuite(suite, "", 0)
+		report, _, err := dmlscale.PlanSuite(context.Background(), suite, "", 0, dmlscale.PlanOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -416,7 +417,7 @@ func BenchmarkSweepStreamPruned(b *testing.B) {
 		b.ReportAllocs()
 		var stats dmlscale.EvalStats
 		for i := 0; i < b.N; i++ {
-			report, st, err := dmlscale.PlanSuiteAdaptive(suite, "", 0, opts)
+			report, st, err := dmlscale.PlanSuite(context.Background(), suite, "", 0, opts)
 			if err != nil {
 				b.Fatal(err)
 			}

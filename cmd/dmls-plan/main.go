@@ -50,7 +50,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -59,12 +58,9 @@ import (
 	"syscall"
 	"time"
 
-	"dmlscale/internal/core"
-	"dmlscale/internal/obs"
+	"dmlscale/internal/cli"
 	"dmlscale/internal/planner"
 	"dmlscale/internal/registry"
-	"dmlscale/internal/resilience"
-	"dmlscale/internal/resume"
 	"dmlscale/internal/scenario"
 	"dmlscale/internal/textio"
 )
@@ -81,80 +77,42 @@ func main() {
 func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("dmls-plan", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	r := &cli.Run{Cmd: "dmls-plan", Stderr: stderr}
+	r.Flags.Register(fs, cli.Usage{
+		Parallel:    "total parallelism budget shared by plan workers and intra-curve shards; 0 means GOMAXPROCS",
+		Stats:       "report kernel-cache hit ratio and planning wall time on stderr",
+		Trace:       "write a Chrome/Perfetto trace of the planning pass (suite→cell→kernel spans) to this file",
+		EmitExample: "print an example planning suite and exit",
+		Checkpoint:  "append-only journal file recording Monte-Carlo kernel estimates as they are computed; a killed pass resumes from it with -resume",
+		Resume:      "replay the -checkpoint journal (validated against this suite) so already-paid-for kernel estimates are served from cache; a missing or empty journal starts fresh",
+	})
 	var (
-		suitePath   = fs.String("suite", "", "JSON suite (or single-scenario) file")
-		objective   = fs.String("objective", "", "ranking objective: tta, cost or pareto (default: the suite's own, else tta)")
-		parallelism = fs.Int("parallel", 0, "total parallelism budget shared by plan workers and intra-curve shards; 0 means GOMAXPROCS")
-		format      = fs.String("format", "table", "output format: table, csv or json")
-		curves      = fs.Bool("curves", false, "print every plan's full time-to-accuracy curve (table format)")
-		stats       = fs.Bool("stats", false, "report kernel-cache hit ratio and planning wall time on stderr")
-		tracePath   = fs.String("trace", "", "write a Chrome/Perfetto trace of the planning pass (suite→cell→kernel spans) to this file")
-		emitExample = fs.Bool("emit-example", false, "print an example planning suite and exit")
-		adaptive    = fs.Bool("adaptive", false, "prune cells whose optimistic cost×time bound is already dominated (same frontier, fewer evaluations)")
-		refine      = fs.Int("refine", 0, "rounds of frontier refinement: subdivide numeric sweep axes next to frontier cells")
-		maxCost     = fs.Float64("max-cost", 0, "cost budget per run; recommendations are constrained to it, 0 means unconstrained")
-		maxTime     = fs.Duration("max-time", 0, "wall-time budget per run (e.g. 90m, 2h); 0 means unconstrained")
-		keepGoing   = fs.Bool("keep-going", false, "exit 0 even when some scenarios fail (a fully failed suite still exits 1)")
-		ckptPath    = fs.String("checkpoint", "", "append-only journal file recording Monte-Carlo kernel estimates as they are computed; a killed pass resumes from it with -resume")
-		resumeRun   = fs.Bool("resume", false, "replay the -checkpoint journal (validated against this suite) so already-paid-for kernel estimates are served from cache; a missing or empty journal starts fresh")
-		retries     = fs.Int("retries", -1, "max retries per transient fault at the kernel and cell layers; 0 disables retry, -1 keeps the default (2)")
+		objective = fs.String("objective", "", "ranking objective: tta, cost or pareto (default: the suite's own, else tta)")
+		curves    = fs.Bool("curves", false, "print every plan's full time-to-accuracy curve (table format)")
+		adaptive  = fs.Bool("adaptive", false, "prune cells whose optimistic cost×time bound is already dominated (same frontier, fewer evaluations)")
+		refine    = fs.Int("refine", 0, "rounds of frontier refinement: subdivide numeric sweep axes next to frontier cells")
+		maxCost   = fs.Float64("max-cost", 0, "cost budget per run; recommendations are constrained to it, 0 means unconstrained")
+		maxTime   = fs.Duration("max-time", 0, "wall-time budget per run (e.g. 90m, 2h); 0 means unconstrained")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 
-	fail := func(err error) int {
-		fmt.Fprintf(stderr, "dmls-plan: %v\n", err)
-		return 1
-	}
-
-	if *emitExample {
+	if r.Flags.EmitExample {
 		if err := exampleSuite().Encode(stdout); err != nil {
-			return fail(err)
+			return r.Fail(err)
 		}
 		return 0
 	}
-	if *suitePath == "" {
-		return fail(fmt.Errorf("missing -suite (or -emit-example)"))
+	if err := r.Start(); err != nil {
+		return r.Fail(err)
 	}
-	if *format != "table" && *format != "csv" && *format != "json" {
-		return fail(fmt.Errorf("unknown -format %q (table, csv, json)", *format))
-	}
-	obj, err := planner.ParseObjective(*objective)
-	if err != nil {
-		return fail(err)
-	}
-	if *objective == "" {
-		obj = "" // defer to the suite's own objective
-	}
-	suite, err := scenario.LoadSuite(*suitePath)
-	if err != nil {
-		return fail(err)
-	}
-	if *parallelism > 0 {
-		core.SetParallelism(*parallelism)
-	}
-	applyRetries(*retries)
-	if *resumeRun && *ckptPath == "" {
-		return fail(fmt.Errorf("-resume needs -checkpoint"))
-	}
-	var cpRun *resume.Run
-	if *ckptPath != "" {
-		// Plans are cheap to recompute; the kernel estimates behind them are
-		// not. The planning journal records only kernel work, so a resumed
-		// pass replans every cell but pays the Monte-Carlo cost once.
-		cs, err := suite.Cells()
-		if err != nil {
-			return fail(err)
-		}
-		cpRun, err = resume.Open(*ckptPath, suite.Name, cs.Len(), *resumeRun)
-		if err != nil {
-			return fail(err)
-		}
-		if cpRun.Resumed {
-			fmt.Fprintf(stderr, "dmls-plan: resuming from %s: %d kernel estimates replayed\n",
-				*ckptPath, cpRun.KernelReplayed)
-		}
+	// Plans are cheap to recompute; the kernel estimates behind them are
+	// not. The planning journal records only kernel work, so a resumed pass
+	// replans every cell but pays the Monte-Carlo cost once.
+	if r.Journal != nil && r.Journal.Resumed {
+		fmt.Fprintf(stderr, "dmls-plan: resuming from %s: %d kernel estimates replayed\n",
+			r.Flags.Checkpoint, r.Journal.KernelReplayed)
 	}
 	opts := planner.Options{
 		Prune:          *adaptive,
@@ -162,44 +120,19 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		MaxCost:        *maxCost,
 		MaxTimeSeconds: maxTime.Seconds(),
 	}
-	var traceBuf *obs.TraceBuffer
-	if *tracePath != "" {
-		traceBuf = obs.NewTraceBuffer(0)
-		obs.SetRecorder(traceBuf)
-		defer obs.SetRecorder(nil)
-	}
-	start := time.Now()
-	report, evalStats, err := planner.PlanSuiteCtx(ctx, suite, obj, 0, opts)
-	interrupted := err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded))
-	var ckptErr error
-	if cpRun != nil {
-		ckptErr = cpRun.Close()
-	}
-	if err != nil && !interrupted {
-		return fail(err)
-	}
-	elapsed := time.Since(start)
-	if traceBuf != nil {
-		obs.SetRecorder(nil)
-		if terr := writeTrace(*tracePath, traceBuf); terr != nil {
-			return fail(terr)
-		}
-		fmt.Fprintf(stderr, "dmls-plan: wrote %d spans to %s\n", traceBuf.Ended(), *tracePath)
-	}
-	reportStats := func() {
-		if *stats {
-			fmt.Fprint(stderr, statsReport(evalStats, registry.SnapshotCaches(), elapsed))
-		}
+	report, evalStats, err := planner.PlanSuiteCtx(ctx, r.Suite, planner.Objective(*objective), 0, opts)
+	if err := r.Finish(err); err != nil {
+		return r.Fail(err)
 	}
 
-	switch *format {
+	switch r.Flags.Format {
 	case "csv":
 		if err := scenario.WritePlansCSV(stdout, report.Export().Plans); err != nil {
-			return fail(err)
+			return r.Fail(err)
 		}
 	case "json":
 		if err := scenario.WritePlansJSON(stdout, report.Export()); err != nil {
-			return fail(err)
+			return r.Fail(err)
 		}
 	default:
 		fmt.Fprintf(stdout, "suite: %s (%d scenarios, objective %s)\n\n", report.Suite, len(report.Plans), report.Objective)
@@ -231,20 +164,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	reportStats()
-	if ckptErr != nil {
-		fmt.Fprintf(stderr, "dmls-plan: checkpoint: %v\n", ckptErr)
-	}
-	if interrupted {
-		fmt.Fprintf(stderr, "dmls-plan: interrupted; partial results above (%d of %d cells planned)\n",
-			evalStats.Evaluated+evalStats.Pruned, evalStats.Scenarios)
-		if *ckptPath != "" {
-			fmt.Fprintf(stderr, "dmls-plan: resume with: -suite %s -checkpoint %s -resume\n", *suitePath, *ckptPath)
-		}
-		return 130
-	}
-	if ckptErr != nil {
-		return 1
+	if r.Flags.Stats {
+		fmt.Fprint(stderr, statsReport(evalStats, registry.SnapshotCaches(), r.Elapsed))
 	}
 	failed := 0
 	for _, p := range report.Plans {
@@ -252,37 +173,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			failed++
 		}
 	}
-	return exitCode("dmls-plan", failed, len(report.Plans), *keepGoing, stderr)
-}
-
-// applyRetries overrides the process-wide retry policy's attempt count:
-// -retries N allows N retries after the first attempt, 0 disables retrying
-// entirely, and a negative value keeps the built-in default.
-func applyRetries(retries int) {
-	if retries < 0 {
-		return
-	}
-	p := resilience.Default()
-	p.MaxAttempts = retries + 1
-	resilience.SetDefault(p)
-}
-
-// exitCode turns the failure count into the process exit code: 0 for a
-// clean run, 1 when anything failed — unless keepGoing, which tolerates
-// partial failure (warned on stderr) but never a fully failed suite.
-func exitCode(cmd string, failed, total int, keepGoing bool, stderr io.Writer) int {
-	if failed == 0 {
-		return 0
-	}
-	if failed == total {
-		fmt.Fprintf(stderr, "%s: all %d scenarios failed\n", cmd, failed)
-		return 1
-	}
-	fmt.Fprintf(stderr, "%s: %d of %d scenarios failed (see results)\n", cmd, failed, total)
-	if keepGoing {
-		return 0
-	}
-	return 1
+	progress := fmt.Sprintf("%d of %d cells planned", evalStats.Evaluated+evalStats.Pruned, evalStats.Scenarios)
+	return r.Exit(progress, failed, len(report.Plans))
 }
 
 // statsReport renders the -stats block: how many cells were planned versus
@@ -306,40 +198,8 @@ func statsReport(st scenario.EvalStats, caches registry.CacheStats, elapsed time
 	out += fmt.Sprintf("stats: wall split: bound %v, refine %v, cell planning %v summed, kernel compute %v\n",
 		st.BoundTime.Round(time.Microsecond), st.RefineTime.Round(time.Microsecond),
 		st.PlanTime.Round(time.Microsecond), st.KernelComputeTime.Round(time.Microsecond))
-	out += slowestCellsReport(st.SlowestCells)
+	out += cli.SlowestCells(st.SlowestCells)
 	return out + caches.Report()
-}
-
-// slowestCellsReport renders the top-k slowest cells, one line, or nothing
-// when no cell recorded a timing.
-func slowestCellsReport(cells []scenario.CellTiming) string {
-	if len(cells) == 0 {
-		return ""
-	}
-	out := "stats: slowest cells:"
-	for i, ct := range cells {
-		if i > 0 {
-			out += ","
-		}
-		out += fmt.Sprintf(" %s %v", ct.Name, ct.Total.Round(time.Microsecond))
-	}
-	return out + "\n"
-}
-
-// writeTrace flushes the recorded spans as a Chrome/Perfetto trace file.
-func writeTrace(path string, buf *obs.TraceBuffer) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("write trace: %w", err)
-	}
-	if err := buf.WriteChromeTrace(f); err != nil {
-		f.Close()
-		return fmt.Errorf("write trace: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("write trace: %w", err)
-	}
-	return nil
 }
 
 // planTable renders the ranked recommendations: one row per plan with its

@@ -1,6 +1,7 @@
 package dmlscale_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -184,7 +185,7 @@ func TestSuiteFacade(t *testing.T) {
 			Protocols:            []string{"spark", "ring", "linear", "two-stage-tree"},
 		},
 	}
-	results, err := dmlscale.EvaluateSuite(suite, 0)
+	results, _, err := dmlscale.EvaluateSuite(context.Background(), suite, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -58,7 +59,7 @@ func main() {
 		},
 	}
 
-	report, err := dmlscale.PlanSuite(suite, "", 0)
+	report, _, err := dmlscale.PlanSuite(context.Background(), suite, "", 0, dmlscale.PlanOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

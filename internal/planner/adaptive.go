@@ -48,13 +48,43 @@ func (o Options) constrained() bool {
 	return o.MaxCost > 0 || o.MaxTimeSeconds > 0
 }
 
+// validate rejects knobs no pass can honour: negative refinement rounds or
+// budgets.
+func (o Options) validate() error {
+	switch {
+	case o.RefineRounds < 0:
+		return fmt.Errorf("planner: negative refinement rounds %d", o.RefineRounds)
+	case o.MaxCost < 0:
+		return fmt.Errorf("planner: negative cost budget %g", o.MaxCost)
+	case o.MaxTimeSeconds < 0:
+		return fmt.Errorf("planner: negative time budget %gs", o.MaxTimeSeconds)
+	}
+	return nil
+}
+
+// resolve settles a pass's ranking objective — the requested one, else the
+// suite's own, else tta — and validates its options. Every entry point
+// (PlanSuiteCtx, PlanSuiteDegradedCtx) goes through it, so the CLI and the
+// service accept and reject the same knobs.
+func resolve(s scenario.Suite, objective Objective, opts Options) (Objective, error) {
+	if objective == "" {
+		objective = Objective(s.Objective)
+	}
+	obj, err := ParseObjective(string(objective))
+	if err != nil {
+		return "", err
+	}
+	return obj, opts.validate()
+}
+
 // PlanSuiteCtx expands the suite and plans every scenario concurrently on
 // the shared parallelism budget (core.SetParallelism, default GOMAXPROCS);
 // parallelism caps the suite-level workers within that budget, ≤ 0 meaning
 // no extra cap. objective overrides the suite's own objective field when
-// non-empty. Scenario errors isolate: a bad grid point yields a Plan with
-// Err set, ranked after every successful plan, and the rest of the suite
-// completes.
+// non-empty; an unknown objective or a negative option fails the pass
+// before any cell is planned. Scenario errors isolate: a bad grid point
+// yields a Plan with Err set, ranked after every successful plan, and the
+// rest of the suite completes.
 //
 // With the zero Options it runs the exhaustive pass and the stats only
 // count plans; with pruning, constraints or refinement it runs the
@@ -83,17 +113,9 @@ func (o Options) constrained() bool {
 // error is ctx's, so callers can tell an abandoned run from an invalid
 // suite while still rendering what completed.
 func PlanSuiteCtx(ctx context.Context, s scenario.Suite, objective Objective, parallelism int, opts Options) (Report, scenario.EvalStats, error) {
-	if objective == "" {
-		obj, err := ParseObjective(s.Objective)
-		if err != nil {
-			return Report{}, scenario.EvalStats{}, err
-		}
-		objective = obj
-	} else if _, err := ParseObjective(string(objective)); err != nil {
+	objective, err := resolve(s, objective, opts)
+	if err != nil {
 		return Report{}, scenario.EvalStats{}, err
-	}
-	if opts.RefineRounds < 0 {
-		return Report{}, scenario.EvalStats{}, fmt.Errorf("planner: negative refinement rounds %d", opts.RefineRounds)
 	}
 	cs, err := s.Cells()
 	if err != nil {

@@ -19,15 +19,13 @@ import (
 // convergence block, unbounded families, resolution failures) carry an
 // error explaining that degraded mode cannot estimate them; the rest of
 // the suite still answers. Entirely closed-form: no model construction,
-// no kernel cache traffic, deterministic at any parallelism.
-func PlanSuiteDegradedCtx(ctx context.Context, s scenario.Suite, objective Objective, parallelism int) (Report, error) {
-	if objective == "" {
-		obj, err := ParseObjective(s.Objective)
-		if err != nil {
-			return Report{}, err
-		}
-		objective = obj
-	} else if _, err := ParseObjective(string(objective)); err != nil {
+// no kernel cache traffic, deterministic at any parallelism. opts is
+// validated exactly as PlanSuiteCtx validates it, so a request is accepted
+// or rejected the same way whichever path answers it, but a degraded pass
+// neither prunes, refines nor applies budgets.
+func PlanSuiteDegradedCtx(ctx context.Context, s scenario.Suite, objective Objective, parallelism int, opts Options) (Report, error) {
+	objective, err := resolve(s, objective, opts)
+	if err != nil {
 		return Report{}, err
 	}
 	cs, err := s.Cells()

@@ -148,12 +148,6 @@ type Report struct {
 	Plans []Plan
 }
 
-// PlanScenario plans a single scenario.
-func PlanScenario(sc scenario.Scenario) (Plan, error) {
-	p := planOne(context.Background(), sc)
-	return p, p.Err
-}
-
 // cancelledPlan is the plan of a scenario abandoned by cancellation; its
 // error wraps the context's, so errors.Is distinguishes it from a model
 // failure.

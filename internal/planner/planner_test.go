@@ -43,9 +43,9 @@ func tree(b float64) scenario.ProtocolSpec {
 func TestPlanScenarioConvergenceAware(t *testing.T) {
 	sc := weakScenario("aware", tree(1e9),
 		&scenario.ConvergenceSpec{Rule: "sqrt", BaseIterations: 10000}, 64)
-	p, err := PlanScenario(sc)
-	if err != nil {
-		t.Fatal(err)
+	p := planOne(context.Background(), sc)
+	if p.Err != nil {
+		t.Fatal(p.Err)
 	}
 	if !p.ConvergenceAware || p.Rule != "sqrt" || p.Notice != "" {
 		t.Fatalf("plan not convergence-aware: %+v", p)
@@ -82,9 +82,9 @@ func TestPlanScenarioConvergenceAware(t *testing.T) {
 func TestFlatCurveRecommendsOneWorker(t *testing.T) {
 	sc := weakScenario("flat", shared(),
 		&scenario.ConvergenceSpec{Rule: "diminishing", BaseIterations: 1000, CriticalBatchGrowth: 1}, 32)
-	p, err := PlanScenario(sc)
-	if err != nil {
-		t.Fatal(err)
+	p := planOne(context.Background(), sc)
+	if p.Err != nil {
+		t.Fatal(p.Err)
 	}
 	first := p.Curve[0].Time
 	for _, pt := range p.Curve {
@@ -104,9 +104,9 @@ func TestDiminishingPastCriticalBatch(t *testing.T) {
 	const kc = 8
 	sc := weakScenario("critical", tree(1e12),
 		&scenario.ConvergenceSpec{Rule: "diminishing", BaseIterations: 1000, CriticalBatchGrowth: kc}, 64)
-	p, err := PlanScenario(sc)
-	if err != nil {
-		t.Fatal(err)
+	p := planOne(context.Background(), sc)
+	if p.Err != nil {
+		t.Fatal(p.Err)
 	}
 	if p.Optimal.Workers != kc {
 		t.Errorf("optimum = %d workers, want the critical batch growth %d", p.Optimal.Workers, kc)
@@ -120,9 +120,9 @@ func TestDiminishingPastCriticalBatch(t *testing.T) {
 func TestSingleWorkerRange(t *testing.T) {
 	sc := weakScenario("single", tree(1e9),
 		&scenario.ConvergenceSpec{Rule: "linear", BaseIterations: 100}, 1)
-	p, err := PlanScenario(sc)
-	if err != nil {
-		t.Fatal(err)
+	p := planOne(context.Background(), sc)
+	if p.Err != nil {
+		t.Fatal(p.Err)
 	}
 	if len(p.Curve) != 1 || p.Optimal.Workers != 1 {
 		t.Fatalf("single-worker range planned %+v", p.Optimal)
@@ -137,9 +137,9 @@ func TestSingleWorkerRange(t *testing.T) {
 // with a clear notice instead of failing.
 func TestFallbacks(t *testing.T) {
 	noBlock := weakScenario("no block", tree(1e9), nil, 16)
-	p, err := PlanScenario(noBlock)
-	if err != nil {
-		t.Fatal(err)
+	p := planOne(context.Background(), noBlock)
+	if p.Err != nil {
+		t.Fatal(p.Err)
 	}
 	if p.ConvergenceAware || !strings.Contains(p.Notice, "no convergence block") {
 		t.Errorf("missing-block fallback: aware %v, notice %q", p.ConvergenceAware, p.Notice)
@@ -164,9 +164,9 @@ func TestFallbacks(t *testing.T) {
 		Convergence: &scenario.ConvergenceSpec{Rule: "linear", BaseIterations: 10},
 		MaxWorkers:  8,
 	}
-	p, err = PlanScenario(mrf)
-	if err != nil {
-		t.Fatal(err)
+	p = planOne(context.Background(), mrf)
+	if p.Err != nil {
+		t.Fatal(p.Err)
 	}
 	if p.ConvergenceAware || !strings.Contains(p.Notice, "no iteration model") {
 		t.Errorf("graph-family fallback: aware %v, notice %q", p.ConvergenceAware, p.Notice)
@@ -176,11 +176,11 @@ func TestFallbacks(t *testing.T) {
 func TestPlanScenarioErrors(t *testing.T) {
 	bad := weakScenario("bad", tree(1e9),
 		&scenario.ConvergenceSpec{Rule: "warp", BaseIterations: 100}, 8)
-	if _, err := PlanScenario(bad); err == nil {
+	if planOne(context.Background(), bad).Err == nil {
 		t.Error("bad rule accepted")
 	}
 	broken := weakScenario("broken", scenario.ProtocolSpec{Kind: "warp"}, nil, 8)
-	if _, err := PlanScenario(broken); err == nil {
+	if planOne(context.Background(), broken).Err == nil {
 		t.Error("bad protocol accepted")
 	}
 }
@@ -343,6 +343,31 @@ func TestPlanSuiteObjectiveResolution(t *testing.T) {
 	for _, name := range scenario.Objectives() {
 		if _, err := ParseObjective(name); err != nil {
 			t.Errorf("suite objective %q does not parse: %v", name, err)
+		}
+	}
+}
+
+// TestKnobsValidatedOnEveryEntryPoint: the full and the degraded pass
+// reject the same objectives and options before planning any cell, so a
+// request is valid or invalid whichever path answers it.
+func TestKnobsValidatedOnEveryEntryPoint(t *testing.T) {
+	suite := planTestSuite()
+	cases := []struct {
+		name      string
+		objective Objective
+		opts      Options
+	}{
+		{"unknown objective", "fastest", Options{}},
+		{"negative refine", "", Options{RefineRounds: -1}},
+		{"negative max cost", "", Options{MaxCost: -1}},
+		{"negative max time", "", Options{MaxTimeSeconds: -300}},
+	}
+	for _, tc := range cases {
+		if _, _, err := PlanSuiteCtx(context.Background(), suite, tc.objective, 0, tc.opts); err == nil {
+			t.Errorf("%s: PlanSuiteCtx accepted it", tc.name)
+		}
+		if _, err := PlanSuiteDegradedCtx(context.Background(), suite, tc.objective, 0, tc.opts); err == nil {
+			t.Errorf("%s: PlanSuiteDegradedCtx accepted it", tc.name)
 		}
 	}
 }

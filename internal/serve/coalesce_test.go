@@ -2,7 +2,7 @@ package serve
 
 import (
 	"bytes"
-	"io"
+	"context"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -105,15 +105,13 @@ func TestChaosCoalescePanickedLeader(t *testing.T) {
 	release := make(chan struct{})
 	var calls atomic.Int64
 	const okBody = `{"ok":true}`
-	handler := s.contained("sweep", s.coalesce("sweep", func(w http.ResponseWriter, r *http.Request) {
-		io.Copy(io.Discard, r.Body)
+	handler := s.contained("sweep", s.coalesce("sweep", func(ctx context.Context, raw []byte) reply {
 		if calls.Add(1) == 1 {
 			close(leaderIn)
 			<-release
 			panic("chaos: leader exploded mid-evaluation")
 		}
-		w.Header().Set("Content-Type", "application/json")
-		io.WriteString(w, okBody)
+		return reply{status: http.StatusOK, body: []byte(okBody)}
 	}))
 	ts := httptest.NewServer(handler)
 	defer ts.Close()

@@ -162,7 +162,8 @@ type Server struct {
 	breakerPlan  *Breaker
 
 	// coal single-flights identical in-flight /v1/sweep and /v1/plan
-	// requests: followers replay the leader's 200 instead of re-evaluating.
+	// requests: followers share the leader's 200 reply instead of
+	// re-evaluating.
 	coal coalescer
 
 	durSweep   *obs.Histogram
@@ -375,64 +376,45 @@ type apiError struct {
 	Error string `json:"error"`
 }
 
-// writeError emits a structured error response.
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(apiError{Error: fmt.Sprintf(format, args...)})
-}
-
-// reqInfoKey carries the per-request reqInfo through the handler's context
-// so handlers can report evaluation stats back to the observation layer.
-type reqInfoKey struct{}
-
-// reqInfo is what the containment wrapper learns about a request after the
-// handler ran: which route, how large the grid was, and where the wall time
-// went. Handlers fill it through noteStats.
-type reqInfo struct {
-	route    string
-	stats    scenario.EvalStats
-	statsSet bool
-}
-
-// noteStats records the evaluation's stats on the request's reqInfo, if one
-// is attached (it always is under contained; a no-op in bare handler tests).
-func noteStats(r *http.Request, st scenario.EvalStats) {
-	if ri, ok := r.Context().Value(reqInfoKey{}).(*reqInfo); ok {
-		ri.stats = st
-		ri.statsSet = true
-	}
-}
-
-// statusRecorder remembers the status code a handler wrote so the
-// containment wrapper can observe and log it after the fact.
-type statusRecorder struct {
-	http.ResponseWriter
+// reply is an evaluation request's answer: what the client receives and
+// what the observation layer records. Every reply body is JSON.
+type reply struct {
 	status int
+	body   []byte
+	// retryAfter, when set, is sent as the Retry-After header.
+	retryAfter string
+	// stats are the evaluation's figures; nil when no evaluation ran for
+	// this request (rejected, shed, or answered by a coalesced leader), so
+	// per-evaluation counters count each evaluation once.
+	stats *scenario.EvalStats
 }
 
-func (sr *statusRecorder) WriteHeader(code int) {
-	if sr.status == 0 {
-		sr.status = code
-	}
-	sr.ResponseWriter.WriteHeader(code)
+// evalHandler answers one admitted evaluation request from its raw body.
+type evalHandler func(ctx context.Context, raw []byte) reply
+
+// errorReply builds a structured error reply.
+func errorReply(status int, format string, args ...any) reply {
+	body, _ := json.Marshal(apiError{Error: fmt.Sprintf(format, args...)}) // a one-string struct always marshals
+	return reply{status: status, body: append(body, '\n')}
 }
 
-func (sr *statusRecorder) Write(b []byte) (int, error) {
-	if sr.status == 0 {
-		sr.status = http.StatusOK
-	}
-	return sr.ResponseWriter.Write(b)
+// badRequest counts and builds the 400 for a request the server cannot
+// evaluate.
+func (s *Server) badRequest(route string, err error) reply {
+	s.badRequests.Inc()
+	return errorReply(http.StatusBadRequest, "bad %s request: %v", route, err)
 }
 
-// contained wraps an evaluation handler in the shared robustness and
-// observability layers: request counting, admission control, panic
-// containment, trace propagation (an incoming W3C traceparent is honored,
-// otherwise a fresh trace id is minted; either way the response carries
-// one), per-route latency histograms and the structured access log. The
-// handler itself buffers its response, so a panic anywhere in decode or
-// evaluation turns into a clean structured 500 — never a half-written 200.
-func (s *Server) contained(route string, h func(http.ResponseWriter, *http.Request)) http.Handler {
+// contained turns an evaluation handler into an http.Handler inside the
+// shared robustness and observability layers: request counting, admission
+// control, panic containment, trace propagation (an incoming W3C
+// traceparent is honored, otherwise a fresh trace id is minted; either way
+// the response carries one), per-route latency histograms and the
+// structured access log. The body is read once, after admission, under
+// maxRequestBytes. Nothing is written until the handler has returned its
+// reply, so a panic anywhere in decode or evaluation turns into a clean
+// structured 500 — never a half-written 200.
+func (s *Server) contained(route string, h evalHandler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		trace, _, ok := obs.ParseTraceparent(r.Header.Get("traceparent"))
@@ -440,25 +422,27 @@ func (s *Server) contained(route string, h func(http.ResponseWriter, *http.Reque
 			trace = obs.NewTraceID()
 		}
 		w.Header().Set("Traceparent", obs.FormatTraceparent(trace, obs.NewSpanID()))
-		ri := &reqInfo{route: route}
-		ctx := obs.WithTrace(r.Context(), trace)
-		ctx = context.WithValue(ctx, reqInfoKey{}, ri)
-		r = r.WithContext(ctx)
-		rec := &statusRecorder{ResponseWriter: w}
+		var rep reply
 		defer func() {
 			if v := recover(); v != nil {
 				s.panics.Inc()
-				writeError(rec, http.StatusInternalServerError, "internal: request panicked: %v", v)
+				rep = errorReply(http.StatusInternalServerError, "internal: request panicked: %v", v)
 			}
-			s.observeRequest(rec, r, trace, ri, time.Since(start))
+			w.Header().Set("Content-Type", "application/json")
+			if rep.retryAfter != "" {
+				w.Header().Set("Retry-After", rep.retryAfter)
+			}
+			w.WriteHeader(rep.status)
+			w.Write(rep.body)
+			s.observeRequest(r, route, trace, rep, time.Since(start))
 		}()
 		s.requests.Inc()
 		select {
 		case s.sem <- struct{}{}:
 		default:
 			s.shed.Inc()
-			rec.Header().Set("Retry-After", s.retryAfter(route))
-			writeError(rec, http.StatusTooManyRequests, "server at capacity (%d requests in flight); retry", s.cfg.MaxInFlight)
+			rep = errorReply(http.StatusTooManyRequests, "server at capacity (%d requests in flight); retry", s.cfg.MaxInFlight)
+			rep.retryAfter = s.retryAfter(route)
 			return
 		}
 		s.inFlight.Add(1)
@@ -466,7 +450,12 @@ func (s *Server) contained(route string, h func(http.ResponseWriter, *http.Reque
 			s.inFlight.Add(-1)
 			<-s.sem
 		}()
-		h(rec, r)
+		raw, err := io.ReadAll(http.MaxBytesReader(nil, r.Body, maxRequestBytes))
+		if err != nil {
+			rep = s.badRequest(route, fmt.Errorf("read body: %w", err))
+			return
+		}
+		rep = h(obs.WithTrace(r.Context(), trace), raw)
 	})
 }
 
@@ -498,29 +487,27 @@ type accessEntry struct {
 }
 
 // observeRequest feeds the per-route histograms and, when configured, emits
-// one access-log line. Runs after the handler (or its panic recovery).
-func (s *Server) observeRequest(rec *statusRecorder, r *http.Request, trace obs.TraceID, ri *reqInfo, elapsed time.Duration) {
-	switch ri.route {
+// one access-log line. Runs after the reply (or its panic recovery) is
+// written.
+func (s *Server) observeRequest(r *http.Request, route string, trace obs.TraceID, rep reply, elapsed time.Duration) {
+	st := rep.stats
+	switch route {
 	case "sweep":
 		s.durSweep.Observe(elapsed.Seconds())
-		if ri.statsSet {
-			s.cellsSweep.Observe(float64(ri.stats.Scenarios))
+		if st != nil {
+			s.cellsSweep.Observe(float64(st.Scenarios))
 		}
 	case "plan":
 		s.durPlan.Observe(elapsed.Seconds())
-		if ri.statsSet {
-			s.cellsPlan.Observe(float64(ri.stats.Scenarios))
+		if st != nil {
+			s.cellsPlan.Observe(float64(st.Scenarios))
 		}
 	}
-	if ri.statsSet && ri.stats.Retried > 0 {
-		s.retries.Add(int64(ri.stats.Retried))
+	if st != nil && st.Retried > 0 {
+		s.retries.Add(int64(st.Retried))
 	}
 	if s.accessLog == nil {
 		return
-	}
-	status := rec.status
-	if status == 0 {
-		status = http.StatusOK
 	}
 	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 	entry := accessEntry{
@@ -528,24 +515,24 @@ func (s *Server) observeRequest(rec *statusRecorder, r *http.Request, trace obs.
 		TraceID:    trace.String(),
 		Method:     r.Method,
 		Path:       r.URL.Path,
-		Route:      ri.route,
-		Status:     status,
+		Route:      route,
+		Status:     rep.status,
 		DurationMS: ms(elapsed),
 	}
-	if ri.statsSet {
-		entry.Cells = ri.stats.Scenarios
-		entry.Evaluated = ri.stats.Evaluated
-		entry.Deduped = ri.stats.CurvesDeduped
-		entry.Pruned = ri.stats.Pruned
-		entry.Cancelled = ri.stats.Cancelled
-		entry.BuildMS = ms(ri.stats.BuildTime)
-		entry.SampleMS = ms(ri.stats.SampleTime)
-		entry.PlanMS = ms(ri.stats.PlanTime)
-		entry.BoundMS = ms(ri.stats.BoundTime)
-		entry.RefineMS = ms(ri.stats.RefineTime)
-		entry.KernelMS = ms(ri.stats.KernelComputeTime)
-		entry.Retried = ri.stats.Retried
-		entry.Resumed = ri.stats.ResumedCells
+	if st != nil {
+		entry.Cells = st.Scenarios
+		entry.Evaluated = st.Evaluated
+		entry.Deduped = st.CurvesDeduped
+		entry.Pruned = st.Pruned
+		entry.Cancelled = st.Cancelled
+		entry.BuildMS = ms(st.BuildTime)
+		entry.SampleMS = ms(st.SampleTime)
+		entry.PlanMS = ms(st.PlanTime)
+		entry.BoundMS = ms(st.BoundTime)
+		entry.RefineMS = ms(st.RefineTime)
+		entry.KernelMS = ms(st.KernelComputeTime)
+		entry.Retried = st.Retried
+		entry.Resumed = st.ResumedCells
 	}
 	line, err := json.Marshal(entry)
 	if err != nil {
@@ -560,47 +547,76 @@ func (s *Server) observeRequest(rec *statusRecorder, r *http.Request, trace obs.
 // requestCtx derives the evaluation context: the request's context (itself
 // parented on the server's base context, so drain hard-stop and client
 // disconnect both propagate) bounded by the effective deadline.
-func (s *Server) requestCtx(r *http.Request, deadline time.Duration) (context.Context, context.CancelFunc) {
+func (s *Server) requestCtx(ctx context.Context, deadline time.Duration) (context.Context, context.CancelFunc) {
 	d := s.cfg.DefaultDeadline
 	if deadline > 0 {
 		d = min(deadline, s.cfg.MaxDeadline)
 	}
-	return context.WithTimeout(r.Context(), d)
+	return context.WithTimeout(ctx, d)
 }
 
-// evalFailure maps an engine-returned context error onto the wire: 504 for
-// an expired per-request deadline, a counted no-op for a vanished client or
-// a drain hard-stop (there is no one left to answer). Returns true when it
-// consumed the error.
-func (s *Server) evalFailure(w http.ResponseWriter, r *http.Request, err error) bool {
+// settle feeds an evaluation's outcome to the route's breaker. A returned
+// error — cancellation, deadline expiry, a suite the engine rejected — says
+// nothing about kernel health.
+func settle(b *Breaker, st scenario.EvalStats, err error) {
+	if err != nil {
+		b.Cancel()
+		return
+	}
+	b.Record(st.Failed == 0)
+}
+
+// outcome maps an evaluation's result onto the wire: 504 for an expired
+// per-request deadline, 503 for a vanished client or a drain hard-stop
+// (best-effort: the connection is dead or dying), 400 for a suite the
+// engine rejected, else the route's counted 200 carrying the export write
+// produces. st, when non-nil, rides on every reply but the 400.
+func (s *Server) outcome(route string, st *scenario.EvalStats, err error, write func(io.Writer) error) reply {
+	var rep reply
 	switch {
-	case err == nil:
-		return false
 	case errors.Is(err, context.DeadlineExceeded):
 		s.deadlineExpired.Inc()
-		writeError(w, http.StatusGatewayTimeout, "evaluation deadline expired: %v", err)
-		return true
+		rep = errorReply(http.StatusGatewayTimeout, "evaluation deadline expired: %v", err)
 	case errors.Is(err, context.Canceled):
 		s.clientGone.Inc()
-		// Client disconnect or drain hard-stop: the connection is dead or
-		// dying; 503 is best-effort for the drain case.
-		writeError(w, http.StatusServiceUnavailable, "evaluation cancelled: %v", err)
-		return true
+		rep = errorReply(http.StatusServiceUnavailable, "evaluation cancelled: %v", err)
+	case err != nil:
+		// Suite-shape and knob errors the cap check could not see (a bad
+		// objective in the suite file, a negative budget) are the client's.
+		return s.badRequest(route, err)
+	default:
+		s.answered(route)
+		var buf bytes.Buffer
+		if err := write(&buf); err != nil {
+			what := "plans"
+			if route == "sweep" {
+				what = "results"
+			}
+			rep = errorReply(http.StatusInternalServerError, "encode %s: %v", what, err)
+		} else {
+			rep = reply{status: http.StatusOK, body: buf.Bytes()}
+		}
 	}
-	return false
+	rep.stats = st
+	return rep
 }
 
-// decodeRequest strictly decodes a request body into dst, rejecting unknown
-// fields and trailing garbage. The body is read whole first so suite
-// sub-documents can be re-decoded through scenario's own strict path.
-func decodeRequest(r *http.Request, dst any) error {
-	raw, err := io.ReadAll(http.MaxBytesReader(nil, r.Body, maxRequestBytes))
-	if err != nil {
-		return fmt.Errorf("read body: %w", err)
+// answered counts a 200 on the route, whether evaluated or coalesced.
+func (s *Server) answered(route string) {
+	switch route {
+	case "sweep":
+		s.sweeps.Inc()
+	case "plan":
+		s.plans.Inc()
 	}
+}
+
+// decodeRequest strictly decodes a request body into req, rejecting unknown
+// fields and trailing garbage.
+func decodeRequest(raw []byte, req any) error {
 	dec := json.NewDecoder(bytes.NewReader(raw))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
+	if err := dec.Decode(req); err != nil {
 		return err
 	}
 	if dec.More() {
@@ -644,56 +660,36 @@ type SweepRequest struct {
 	Deadline string `json:"deadline,omitempty"`
 }
 
-// handleSweep evaluates a suite and responds with the exact document
+// handleSweep evaluates a suite and replies with the exact document
 // dmls-sweep -format json writes.
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleSweep(ctx context.Context, raw []byte) reply {
 	var req SweepRequest
-	if err := decodeRequest(r, &req); err != nil {
-		s.badRequests.Inc()
-		writeError(w, http.StatusBadRequest, "bad sweep request: %v", err)
-		return
+	if err := decodeRequest(raw, &req); err != nil {
+		return s.badRequest("sweep", err)
 	}
 	deadline, err := parseDeadline(req.Deadline)
 	if err != nil {
-		s.badRequests.Inc()
-		writeError(w, http.StatusBadRequest, "bad sweep request: %v", err)
-		return
+		return s.badRequest("sweep", err)
 	}
 	suite, err := s.decodeSuite(req.Suite)
 	if err != nil {
-		s.badRequests.Inc()
-		writeError(w, http.StatusBadRequest, "bad sweep request: %v", err)
-		return
+		return s.badRequest("sweep", err)
 	}
 	if !s.breakerSweep.Allow() {
 		// Sweeps have no kernel-free answer: shed with a hint, unlike
 		// /v1/plan which degrades to bound estimates.
 		s.degradedShed.Inc()
-		w.Header().Set("Retry-After", s.retryAfter("sweep"))
-		writeError(w, http.StatusServiceUnavailable, "kernel circuit breaker open; sweep unavailable, retry later")
-		return
+		rep := errorReply(http.StatusServiceUnavailable, "kernel circuit breaker open; sweep unavailable, retry later")
+		rep.retryAfter = s.retryAfter("sweep")
+		return rep
 	}
-	ctx, cancel := s.requestCtx(r, deadline)
+	ctx, cancel := s.requestCtx(ctx, deadline)
 	defer cancel()
 	results, st, err := scenario.EvaluateSuiteStatsCtx(ctx, suite, req.Parallelism)
-	noteStats(r, st)
-	if err != nil {
-		// Cancellation and deadline expiry say nothing about kernel health.
-		s.breakerSweep.Cancel()
-	} else {
-		s.breakerSweep.Record(st.Failed == 0)
-	}
-	if s.evalFailure(w, r, err) {
-		return
-	}
-	s.sweeps.Inc()
-	var buf bytes.Buffer
-	if err := scenario.WriteResultsJSON(&buf, suite.Name, results); err != nil {
-		writeError(w, http.StatusInternalServerError, "encode results: %v", err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(buf.Bytes())
+	settle(s.breakerSweep, st, err)
+	return s.outcome("sweep", &st, err, func(w io.Writer) error {
+		return scenario.WriteResultsJSON(w, suite.Name, results)
+	})
 }
 
 // PlanRequest is the POST /v1/plan body: the planning suite plus the same
@@ -726,17 +722,11 @@ type PlanRequest struct {
 	Deadline string `json:"deadline,omitempty"`
 }
 
-// options validates the request's planner knobs into planner.Options.
+// options maps the request's planner knobs onto planner.Options. Only the
+// wire format is checked here — the two budget spellings and the duration
+// syntax; the planner validates the values, for the CLI and the service
+// alike.
 func (req PlanRequest) options() (planner.Options, error) {
-	if req.Refine < 0 {
-		return planner.Options{}, fmt.Errorf("negative refine %d", req.Refine)
-	}
-	if req.MaxCost < 0 {
-		return planner.Options{}, fmt.Errorf("negative max_cost %g", req.MaxCost)
-	}
-	if req.MaxTimeSeconds < 0 {
-		return planner.Options{}, fmt.Errorf("negative max_time_seconds %g", req.MaxTimeSeconds)
-	}
 	opts := planner.Options{
 		Prune:          req.Adaptive,
 		RefineRounds:   req.Refine,
@@ -751,110 +741,53 @@ func (req PlanRequest) options() (planner.Options, error) {
 		if err != nil {
 			return planner.Options{}, fmt.Errorf("bad max_time: %v", err)
 		}
-		if d < 0 {
-			return planner.Options{}, fmt.Errorf("negative max_time %v", d)
-		}
 		opts.MaxTimeSeconds = d.Seconds()
 	}
 	return opts, nil
 }
 
-// handlePlan plans a suite and responds with the exact document dmls-plan
+// handlePlan plans a suite and replies with the exact document dmls-plan
 // -format json writes, so served and offline plans are byte-comparable.
-func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
+// While the kernel circuit breaker is open it answers from a kernel-free
+// pass over the suite's registry bound models instead, exported in the same
+// document shape with "degraded": true so clients know the numbers are
+// optimistic lower bounds, not recommendations. Availability over fidelity
+// — the route keeps answering while the kernel heals.
+func (s *Server) handlePlan(ctx context.Context, raw []byte) reply {
 	var req PlanRequest
-	if err := decodeRequest(r, &req); err != nil {
-		s.badRequests.Inc()
-		writeError(w, http.StatusBadRequest, "bad plan request: %v", err)
-		return
+	if err := decodeRequest(raw, &req); err != nil {
+		return s.badRequest("plan", err)
 	}
 	deadline, err := parseDeadline(req.Deadline)
 	if err != nil {
-		s.badRequests.Inc()
-		writeError(w, http.StatusBadRequest, "bad plan request: %v", err)
-		return
+		return s.badRequest("plan", err)
 	}
 	opts, err := req.options()
 	if err != nil {
-		s.badRequests.Inc()
-		writeError(w, http.StatusBadRequest, "bad plan request: %v", err)
-		return
-	}
-	obj, err := planner.ParseObjective(req.Objective)
-	if err != nil {
-		s.badRequests.Inc()
-		writeError(w, http.StatusBadRequest, "bad plan request: %v", err)
-		return
-	}
-	if req.Objective == "" {
-		obj = "" // defer to the suite's own objective
+		return s.badRequest("plan", err)
 	}
 	suite, err := s.decodeSuite(req.Suite)
 	if err != nil {
-		s.badRequests.Inc()
-		writeError(w, http.StatusBadRequest, "bad plan request: %v", err)
-		return
+		return s.badRequest("plan", err)
 	}
-	ctx, cancel := s.requestCtx(r, deadline)
+	ctx, cancel := s.requestCtx(ctx, deadline)
 	defer cancel()
+	obj := planner.Objective(req.Objective)
 	if !s.breakerPlan.Allow() {
-		s.servePlanDegraded(ctx, w, r, suite, obj, req.Parallelism)
-		return
+		report, err := planner.PlanSuiteDegradedCtx(ctx, suite, obj, req.Parallelism, opts)
+		if err == nil {
+			s.degradedPlans.Inc()
+		}
+		return s.outcome("plan", nil, err, plansJSON(report))
 	}
 	report, st, err := planner.PlanSuiteCtx(ctx, suite, obj, req.Parallelism, opts)
-	noteStats(r, st)
-	switch {
-	case err != nil:
-		// Cancellation, deadline expiry and suite-shape errors say nothing
-		// about kernel health.
-		s.breakerPlan.Cancel()
-	default:
-		s.breakerPlan.Record(st.Failed == 0)
-	}
-	if err != nil && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
-		// Suite-shape errors the cap check could not see (bad objective in
-		// the suite file, negative refine) are the client's.
-		s.badRequests.Inc()
-		writeError(w, http.StatusBadRequest, "bad plan request: %v", err)
-		return
-	}
-	if s.evalFailure(w, r, err) {
-		return
-	}
-	s.plans.Inc()
-	var buf bytes.Buffer
-	if err := scenario.WritePlansJSON(&buf, report.Export()); err != nil {
-		writeError(w, http.StatusInternalServerError, "encode plans: %v", err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(buf.Bytes())
+	settle(s.breakerPlan, st, err)
+	return s.outcome("plan", &st, err, plansJSON(report))
 }
 
-// servePlanDegraded answers /v1/plan while the kernel circuit breaker is
-// open: a kernel-free pass over the suite's registry bound models, exported
-// in the same document shape with "degraded": true so clients know the
-// numbers are optimistic lower bounds, not recommendations. Availability
-// over fidelity — the route keeps answering while the kernel heals.
-func (s *Server) servePlanDegraded(ctx context.Context, w http.ResponseWriter, r *http.Request, suite scenario.Suite, obj planner.Objective, parallelism int) {
-	report, err := planner.PlanSuiteDegradedCtx(ctx, suite, obj, parallelism)
-	if err != nil && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
-		s.badRequests.Inc()
-		writeError(w, http.StatusBadRequest, "bad plan request: %v", err)
-		return
-	}
-	if s.evalFailure(w, r, err) {
-		return
-	}
-	s.degradedPlans.Inc()
-	s.plans.Inc()
-	var buf bytes.Buffer
-	if err := scenario.WritePlansJSON(&buf, report.Export()); err != nil {
-		writeError(w, http.StatusInternalServerError, "encode plans: %v", err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(buf.Bytes())
+// plansJSON writes a report as the document dmls-plan -format json writes.
+func plansJSON(report planner.Report) func(io.Writer) error {
+	return func(w io.Writer) error { return scenario.WritePlansJSON(w, report.Export()) }
 }
 
 // parseDeadline parses an optional request deadline.

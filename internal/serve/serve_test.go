@@ -384,7 +384,7 @@ func TestExpiredDeadlineReturns504(t *testing.T) {
 func TestPanicContainment(t *testing.T) {
 	s := New(Config{})
 	defer s.Close()
-	h := s.contained("plan", func(w http.ResponseWriter, r *http.Request) {
+	h := s.contained("plan", func(ctx context.Context, raw []byte) reply {
 		panic("kaboom")
 	})
 	rec := httptest.NewRecorder()

@@ -26,7 +26,7 @@
 # "ok" again, and the breaker gauges read "closed".
 #
 # The p50/p99/shed-rate summary lands in BENCH_PR<n>.json at the repo root,
-# the same perf-trajectory record bench.sh feeds.
+# beside the older per-PR records (perfbench/ is the benchmark of record).
 #
 # Usage:
 #   scripts/loadtest.sh                       # writes BENCH_PR7.json

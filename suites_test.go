@@ -4,6 +4,7 @@ package dmlscale_test
 // evaluate cleanly — the examples are exercised here so they cannot rot.
 
 import (
+	"context"
 	"path/filepath"
 	"reflect"
 	"runtime"
@@ -28,7 +29,7 @@ func TestExampleSuiteFilesEvaluate(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			results, err := dmlscale.EvaluateSuite(suite, 0)
+			results, _, err := dmlscale.EvaluateSuite(context.Background(), suite, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -100,7 +101,7 @@ func TestSuiteDeterministicAtAnyParallelism(t *testing.T) {
 
 	evaluate := func(parallelism int) []dmlscale.SuiteResult {
 		dmlscale.SetParallelism(parallelism)
-		results, err := dmlscale.EvaluateSuite(suite, 0)
+		results, _, err := dmlscale.EvaluateSuite(context.Background(), suite, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,7 +169,7 @@ func TestSweepGridKernelComputedExactlyOnce(t *testing.T) {
 	dmlscale.ResetCaches()
 	defer dmlscale.ResetCaches()
 	suite := kernelGridSuite(4000)
-	cold, coldStats, err := dmlscale.EvaluateSuiteStats(suite, 0)
+	cold, coldStats, err := dmlscale.EvaluateSuite(context.Background(), suite, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +188,7 @@ func TestSweepGridKernelComputedExactlyOnce(t *testing.T) {
 	if st.Hits < 12*16-16 {
 		t.Errorf("cold grid hit the kernel cache %d times, want ≥ %d", st.Hits, 12*16-16)
 	}
-	warm, _, err := dmlscale.EvaluateSuiteStats(suite, 0)
+	warm, _, err := dmlscale.EvaluateSuite(context.Background(), suite, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +214,7 @@ func TestPlanSuiteFileRecommends(t *testing.T) {
 	}
 	plan := func(parallelism int) dmlscale.PlanReport {
 		dmlscale.SetParallelism(parallelism)
-		report, err := dmlscale.PlanSuite(suite, "", 0)
+		report, _, err := dmlscale.PlanSuite(context.Background(), suite, "", 0, dmlscale.PlanOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
